@@ -1,17 +1,13 @@
-"""The execution planner's hot paths: batched runs + columnar folds.
+"""The columnar fold: ``store.to_frame()`` versus the row-based fold.
 
-PR 4's two performance claims, measured on one ≥10k-record campaign
-(4 environments × all 11 apps × the paper's 4 sizes):
-
-* **the batched pipeline** — ``ExecutionEngine.run_batch`` (placement/
-  fabric/pricing resolved once per (env, app, size) group, group-memoized
-  physics) feeding a columnar ``ResultStore`` whose ``to_frame()`` is a
-  zero-copy view — is at least **2x** the seed row-based path
-  (per-iteration ``run()`` calls folded through
-  ``ResultFrame.from_records``), with byte-identical records and
-  aggregates;
-* **the columnar fold alone** (``store.to_frame().cell_aggregates()``)
-  beats the row-based fold by a wide margin.
+The planner's fold claim, measured on one ≥10k-record campaign (4 environments
+× all 11 apps × the paper's 4 sizes): the zero-copy columnar fold
+(``store.to_frame().cell_aggregates()``) beats the row-based fold
+(``ResultFrame.from_records(records).cell_aggregates()``) by a wide
+margin, with byte-identical records and aggregates between the seed
+path (per-iteration ``run()`` calls) and the columnar store (built by
+``ExecutionEngine.run_block``).  The block-vs-seed execution speedup is
+gated by ``benchmarks/test_bench_vector.py``.
 
 Results land in ``BENCH_plan.json`` (redirect with ``BENCH_PLAN_ARTIFACT``)
 and are gated against ``benchmarks/BASELINE_plan.json``: a regression of
@@ -66,14 +62,13 @@ def _seed_pipeline():
     return records, aggregates
 
 
-def _batched_pipeline():
-    """The planner's path: run_batch into a columnar store, zero-copy fold."""
+def _columnar_store():
+    """The planner's path: run_block into a columnar store."""
     engine = ExecutionEngine(seed=0)
     store = ResultStore()
     for env, app, scale in _campaign_cells():
-        store.extend(engine.run_batch(env, app, scale, iterations=_ITERATIONS))
-    aggregates = store.to_frame().cell_aggregates()
-    return store, aggregates
+        engine.run_block(env, app, scale, iterations=_ITERATIONS, store=store)
+    return store
 
 
 def _best_of(fn, repeats: int):
@@ -85,17 +80,15 @@ def _best_of(fn, repeats: int):
     return best, result
 
 
-def test_bench_batched_pipeline_vs_seed_row_based_path():
-    """Acceptance: ≥2x for to_frame() + run_batch() at ≥10k records."""
-    t_seed, (records, agg_seed) = _best_of(_seed_pipeline, repeats=3)
-    t_batched, (store, agg_batched) = _best_of(_batched_pipeline, repeats=3)
+def test_bench_columnar_fold_vs_row_based_fold():
+    """Acceptance: the zero-copy fold beats the row-based fold at ≥10k records."""
+    records, agg_seed = _seed_pipeline()
+    store = _columnar_store()
     assert len(records) >= 10_000
 
-    # Faster, not different: records and aggregates are byte-identical.
+    # Same data either way: records and aggregates are byte-identical.
     assert store.records == records
-    assert agg_batched.rows() == agg_seed.rows()
-
-    pipeline_speedup = t_seed / t_batched
+    assert store.to_frame().cell_aggregates().rows() == agg_seed.rows()
 
     # The fold alone: row-based conversion+aggregation vs zero-copy.
     t_row_fold, _ = _best_of(
@@ -105,21 +98,6 @@ def test_bench_batched_pipeline_vs_seed_row_based_path():
         lambda: store.to_frame().cell_aggregates(), repeats=3
     )
     fold_speedup = t_row_fold / t_col_fold
-
-    # One representative group, execution only (no fold in either side).
-    env = ENVIRONMENTS["cpu-eks-aws"]
-
-    def _loop_runs():
-        engine = ExecutionEngine(seed=0)
-        return [engine.run(env, "amg2023", 64, iteration=i) for i in range(300)]
-
-    def _batch_runs():
-        return ExecutionEngine(seed=0).run_batch(env, "amg2023", 64, iterations=300)
-
-    t_loop, loop_records = _best_of(_loop_runs, repeats=3)
-    t_batch, batch_records = _best_of(_batch_runs, repeats=3)
-    assert batch_records == loop_records
-    run_batch_speedup = t_loop / t_batch
 
     baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
     payload = {
@@ -131,20 +109,10 @@ def test_bench_batched_pipeline_vs_seed_row_based_path():
             "scales": list(_SCALES),
             "iterations": _ITERATIONS,
         },
-        "pipeline": {
-            "seed_seconds": t_seed,
-            "batched_seconds": t_batched,
-            "speedup": pipeline_speedup,
-        },
         "fold": {
             "row_seconds": t_row_fold,
             "columnar_seconds": t_col_fold,
             "speedup": fold_speedup,
-        },
-        "run_batch": {
-            "loop_seconds": t_loop,
-            "batched_seconds": t_batch,
-            "speedup": run_batch_speedup,
         },
         "baseline": baseline,
     }
@@ -153,36 +121,15 @@ def test_bench_batched_pipeline_vs_seed_row_based_path():
         fh.write("\n")
 
     record_timing(
-        "plan::batched_pipeline",
-        t_batched,
-        kind="speedup-claim",
-        records=len(records),
-        seed_seconds=t_seed,
-        speedup=pipeline_speedup,
-    )
-    record_timing(
         "plan::columnar_fold",
         t_col_fold,
         kind="speedup-claim",
         row_seconds=t_row_fold,
         speedup=fold_speedup,
     )
-    print(
-        f"\n{len(records)} records: seed {t_seed:.2f}s, batched {t_batched:.2f}s "
-        f"-> {pipeline_speedup:.2f}x (fold {fold_speedup:.1f}x, "
-        f"run_batch {run_batch_speedup:.2f}x)"
-    )
+    print(f"\n{len(records)} records: fold {fold_speedup:.1f}x")
 
-    # The acceptance floor...
-    assert pipeline_speedup >= 2.0, (
-        f"batched pipeline only {pipeline_speedup:.2f}x vs the seed path"
-    )
-    # ...and the CI regression gate against the committed baseline.
-    floor = baseline["pipeline_speedup"] / REGRESSION_TOLERANCE
-    assert pipeline_speedup >= floor, (
-        f"batched hot path regressed: {pipeline_speedup:.2f}x < "
-        f"{floor:.2f}x (baseline {baseline['pipeline_speedup']}x / 1.25)"
-    )
+    # The CI regression gate against the committed baseline.
     fold_floor = baseline["fold_speedup"] / REGRESSION_TOLERANCE
     assert fold_speedup >= fold_floor, (
         f"columnar fold regressed: {fold_speedup:.1f}x < {fold_floor:.1f}x"

@@ -4,8 +4,9 @@ One flat taxonomy keeps traces summarizable: ``repro trace summarize``
 groups self-time by span name, so names must be stable string literals
 (never interpolated — varying detail belongs in span *attributes*).  A
 lint-style test (``tests/test_telemetry.py``) greps ``src/`` for
-``span("...")`` call sites and fails on any name missing here, so the
-registry and the instrumentation can never drift apart.  :data:`COUNTERS`
+``span("...")`` call sites and fails on any name missing here, and on
+any name here that no call site emits, so the registry and the
+instrumentation can never drift apart.  :data:`COUNTERS`
 gets the same treatment for literal ``count("...")`` sites; counters
 whose names are built per call (the ``cache.<level>.*`` and
 ``plan.reuse.<field>`` families) are enumerated explicitly below.
@@ -54,7 +55,6 @@ SPANS: dict[str, str] = {
     "shard.provision": "quota, cluster provisioning, and environment deploy",
     # the engine
     "engine.run_block": "one (env, app, size) group through the array-native path",
-    "engine.run_batch": "one (env, app, size) group through the batched path",
     "engine.resolve_group": "placement, fabric, ECC, and pricing resolution",
     "engine.rng": "batched keyed-stream seeding and hookup draws",
     "engine.physics": "the app model's columnar simulation",
@@ -64,7 +64,6 @@ SPANS: dict[str, str] = {
     # the benchmark suite
     "bench.run": "the whole benchmark suite",
     "bench.seed": "the per-iteration seed pipeline",
-    "bench.batched": "the run_batch pipeline",
     "bench.block": "the array-native block pipeline",
     "bench.rng": "the keyed-rng component microbenchmark",
     "bench.transport": "the shard-transport component microbenchmark",

@@ -8,7 +8,7 @@ user decide when, how, and where to run.
 
 This package makes that computable:
 
-* :mod:`repro.workflows.dag` — workflow graphs (networkx DiGraphs) of
+* :mod:`repro.workflows.dag` — workflow graphs (plain-dict DAGs) of
   components with resource requirements and data-flow edges;
 * :mod:`repro.workflows.portability` — environment-fit scoring, the
   portability index, and where-to-run recommendations that weigh fit,

@@ -1,6 +1,6 @@
 """Workflow graphs: components, requirements, data flow.
 
-A :class:`Workflow` is a DAG (networkx) of :class:`Component` nodes.
+A :class:`Workflow` is a DAG of :class:`Component` nodes.
 Edges carry the bytes exchanged per workflow cycle, which the
 portability scorer uses to penalise splitting chatty component pairs
 across environments (cloud egress + WAN latency).
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.errors import ConfigurationError
 
@@ -44,48 +42,96 @@ class Component:
 
 
 class Workflow:
-    """A DAG of components with data-flow edges."""
+    """A DAG of components with data-flow edges.
+
+    Components keep their insertion order and edges their connection
+    order; every query is a deterministic function of those orders.
+    """
 
     def __init__(self, name: str):
         self.name = name
-        self._graph = nx.DiGraph()
+        self._components: dict[str, Component] = {}
+        #: src -> {dst: bytes per cycle}, in connection order
+        self._succ: dict[str, dict[str, int]] = {}
+        #: dst -> sources, in connection order
+        self._pred: dict[str, list[str]] = {}
 
     # -- construction -----------------------------------------------------------
 
     def add(self, component: Component) -> Component:
-        if component.name in self._graph:
+        if component.name in self._components:
             raise ConfigurationError(f"duplicate component {component.name!r}")
-        self._graph.add_node(component.name, component=component)
+        self._components[component.name] = component
+        self._succ[component.name] = {}
+        self._pred[component.name] = []
         return component
 
     def connect(self, src: str, dst: str, *, bytes_per_cycle: int) -> None:
         for name in (src, dst):
-            if name not in self._graph:
+            if name not in self._components:
                 raise ConfigurationError(f"unknown component {name!r}")
         if bytes_per_cycle < 0:
             raise ConfigurationError("bytes_per_cycle must be non-negative")
-        self._graph.add_edge(src, dst, bytes_per_cycle=bytes_per_cycle)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(src, dst)
+        if self._reaches(dst, src):
             raise ConfigurationError(
                 f"edge {src}->{dst} would create a cycle"
             )
+        if dst not in self._succ[src]:
+            self._pred[dst].append(src)
+        self._succ[src][dst] = bytes_per_cycle
+
+    # -- graph helpers ----------------------------------------------------------
+
+    def _reaches(self, start: str, goal: str) -> bool:
+        """Whether a directed path leads from ``start`` to ``goal``."""
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            node = frontier.pop()
+            if node == goal:
+                return True
+            for nxt in self._succ[node]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return False
+
+    def _topological_order(self) -> list[str]:
+        """Kahn's algorithm by generations: each generation lists the
+        components whose last predecessor was in the one before, in the
+        order those predecessors release them."""
+        indegree = {name: len(srcs) for name, srcs in self._pred.items()}
+        generation = [name for name, d in indegree.items() if d == 0]
+        order: list[str] = []
+        while generation:
+            order.extend(generation)
+            released = []
+            for node in generation:
+                for nxt in self._succ[node]:
+                    indegree[nxt] -= 1
+                    if indegree[nxt] == 0:
+                        released.append(nxt)
+            generation = released
+        return order
 
     # -- queries ----------------------------------------------------------------
 
     def components(self) -> list[Component]:
-        return [self._graph.nodes[n]["component"] for n in nx.topological_sort(self._graph)]
+        return [self._components[name] for name in self._topological_order()]
 
     def component(self, name: str) -> Component:
         try:
-            return self._graph.nodes[name]["component"]
+            return self._components[name]
         except KeyError:
             raise ConfigurationError(f"unknown component {name!r}") from None
 
     def edges(self) -> list[tuple[str, str, int]]:
+        """Edges grouped by source in component order, each source's
+        edges in connection order."""
         return [
-            (u, v, data["bytes_per_cycle"])
-            for u, v, data in self._graph.edges(data=True)
+            (src, dst, nbytes)
+            for src, out in self._succ.items()
+            for dst, nbytes in out.items()
         ]
 
     def traffic_between(self, a: str, b: str) -> int:
@@ -99,11 +145,27 @@ class Workflow:
         return sum(c.min_nodes for c in self.components())
 
     def critical_path(self) -> list[str]:
-        """Longest chain of components by node weight."""
-        return nx.dag_longest_path(
-            self._graph,
-            weight=None,
-        )
+        """Longest chain of components by edge count.
+
+        Ties go to the earliest candidate: the first predecessor (in
+        connection order) among a component's longest incoming chains,
+        and the first end point in topological order.
+        """
+        order = self._topological_order()
+        if not order:
+            return []
+        #: component -> (chain length ending here, predecessor on it)
+        best: dict[str, tuple[int, str]] = {}
+        for node in order:
+            chains = [(best[p][0] + 1, p) for p in self._pred[node]]
+            best[node] = max(chains, key=lambda c: c[0]) if chains else (0, node)
+        node = max(best, key=lambda n: best[n][0])
+        path = [node]
+        while best[node][1] != node:
+            node = best[node][1]
+            path.append(node)
+        path.reverse()
+        return path
 
 
 def mummi_style_workflow() -> Workflow:

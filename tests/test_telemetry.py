@@ -440,6 +440,11 @@ def test_every_emitted_span_is_registered():
         f"span names emitted in src/ but missing from "
         f"repro.telemetry.registry.SPANS: {sorted(unregistered)}"
     )
+    unemitted = set(SPANS) - emitted
+    assert not unemitted, (
+        f"span names registered in repro.telemetry.registry.SPANS but "
+        f"emitted nowhere in src/: {sorted(unemitted)}"
+    )
 
 
 def test_registry_names_follow_convention():

@@ -72,6 +72,52 @@ def test_mummi_workflow_shape():
     assert len(wf.critical_path()) >= 3
 
 
+#: the mummi workflow's topological order, which is also its longest chain
+_MUMMI_ORDER = ["orchestrator", "macro-sim", "ml-selector", "micro-sim", "feature-db"]
+
+
+def test_mummi_topological_order_and_critical_path_pinned():
+    wf = mummi_style_workflow()
+    assert [c.name for c in wf.components()] == _MUMMI_ORDER
+    assert wf.critical_path() == _MUMMI_ORDER
+
+
+def test_mummi_edges_grouped_by_source_in_insertion_order():
+    assert mummi_style_workflow().edges() == [
+        ("macro-sim", "ml-selector", 2 << 30),
+        ("macro-sim", "feature-db", 256 << 20),
+        ("micro-sim", "feature-db", 512 << 20),
+        ("ml-selector", "micro-sim", 64 << 20),
+        ("orchestrator", "macro-sim", 1 << 20),
+    ]
+
+
+def test_self_loop_rejected_and_graph_unchanged():
+    wf = Workflow("t")
+    wf.add(_sim())
+    with pytest.raises(ConfigurationError):
+        wf.connect("sim", "sim", bytes_per_cycle=1)
+    assert wf.edges() == []
+    assert wf.critical_path() == ["sim"]
+
+
+def test_reconnect_updates_bytes_in_place():
+    wf = Workflow("t")
+    for name in ("a", "b", "c"):
+        wf.add(_sim(name=name))
+    wf.connect("a", "b", bytes_per_cycle=1)
+    wf.connect("a", "c", bytes_per_cycle=2)
+    wf.connect("a", "b", bytes_per_cycle=3)
+    assert wf.edges() == [("a", "b", 3), ("a", "c", 2)]
+
+
+def test_empty_workflow():
+    wf = Workflow("t")
+    assert wf.components() == []
+    assert wf.edges() == []
+    assert wf.critical_path() == []
+
+
 def test_component_validation():
     with pytest.raises(ConfigurationError):
         Component("bad", ComponentKind.AI, min_nodes=0)
