@@ -211,13 +211,20 @@ def _print_faults(faults) -> None:
         print(f"fault recovery    : {_fmt_faults_line(faults)}", file=sys.stderr)
 
 
-def _apply_transport_flags(args: argparse.Namespace) -> None:
+def _print_transport(label: str, transport) -> None:
+    """Transport diagnostics on stderr (the line changes with the worker
+    count; stdout stays byte-identical)."""
+    if transport is not None and transport.mode != "inline":
+        print(f"{label:18s}: {transport.summary()}", file=sys.stderr)
+
+
+def _apply_spill_limit(args: argparse.Namespace) -> None:
     """Apply the shared ``--spill-mb`` knob before any store is built.
 
     The threshold travels through the environment so pool workers
     (forked or spawned) inherit it without any shard plumbing.
     """
-    if getattr(args, "spill_mb", None) is not None:
+    if args.spill_mb is not None:
         from repro.core.results import set_spill_limit_mb
 
         set_spill_limit_mb(args.spill_mb)
@@ -312,7 +319,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     config = _config_from_args(args)
-    _apply_transport_flags(args)
+    _apply_spill_limit(args)
     try:
         retry, chaos, resume = _fault_options(args)
     except (ConfigurationError, ValueError) as exc:
@@ -323,7 +330,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
             config,
             workers=args.workers,
             cache_dir=args.cache,
-            transport=args.transport,
             retry=retry,
             chaos=chaos,
             resume=resume,
@@ -337,10 +343,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     if args.cache:
         print(f"run cache         : "
               f"{_fmt_cache_line(report.cache_hits, report.cache_misses, report.cache_invalid, report.cache_invalid_reasons)}")
-    if report.transport is not None and report.transport.mode != "inline":
-        # Diagnostics, not results: worker count changes this line, so
-        # it goes to stderr to keep stdout byte-identical across runs.
-        print(f"shard transport   : {report.transport.summary()}", file=sys.stderr)
+    _print_transport("shard transport", report.transport)
     _print_faults(report.faults)
     _write_exports(
         args,
@@ -400,7 +403,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 2
     try:
         scenarios = [_resolve_scenario(name) for name in args.scenario]
-        _apply_transport_flags(args)
+        _apply_spill_limit(args)
         retry, chaos, resume = _fault_options(args)
         sweep = ScenarioSweep(
             _config_from_args(args),
@@ -408,7 +411,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache_dir=args.cache,
             incremental=args.incremental,
-            transport=args.transport,
             retry=retry,
             chaos=chaos,
             resume=resume,
@@ -481,7 +483,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _apply_transport_flags(args)
+    _apply_spill_limit(args)
     try:
         retry, chaos, resume = _fault_options(args)
         runner = EnsembleRunner(
@@ -489,7 +491,6 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache_dir=args.cache,
             incremental=args.incremental,
-            transport=args.transport,
             retry=retry,
             chaos=chaos,
             resume=resume,
@@ -509,10 +510,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
               f"{_fmt_cache_line(result.world_cache_hits, result.world_cache_misses, result.world_cache_invalid, result.world_cache_invalid_reasons)}")
     if result.reuse is not None:
         print(f"cell reuse        : {_fmt_reuse_line(result.reuse)}")
-    if result.transport is not None and result.transport.mode != "inline":
-        # Diagnostics on stderr: stdout stays byte-identical across
-        # worker counts and transports.
-        print(f"shard transport   : {result.transport.summary()}", file=sys.stderr)
+    _print_transport("shard transport", result.transport)
     _print_faults(result.faults)
     _write_exports(
         args,
@@ -639,7 +637,7 @@ examples:
       the default campaign, sharded over 4 processes with run caching
   python -m repro study --envs cpu-eks-aws --apps lammps --sizes 32,64
       a focused campaign over one environment
-  python -m repro plan show --workers 4 --replicas 8
+  python -m repro plan show --replicas 8
       compile the matching ensemble to its RunPlan and inspect it
       (worlds, shards, run counts, digest) without executing anything
   python -m repro scenario run --scenario spot-everything --workers 4
@@ -832,7 +830,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if error:
         print(error, file=sys.stderr)
         return 2
-    _apply_transport_flags(args)
+    _apply_spill_limit(args)
     try:
         retry, chaos, resume = _fault_options(args)
         spec = _campaign_spec_from_args(args)
@@ -840,7 +838,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             spec,
             workers=args.workers,
             cache_dir=args.cache,
-            transport=args.transport,
             retry=retry,
             chaos=chaos,
             resume=resume,
@@ -863,11 +860,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.cache:
         print(f"world cache       : "
               f"{_fmt_cache_line(result.smoke.world_cache_hits + result.grid.world_cache_hits, result.smoke.world_cache_misses + result.grid.world_cache_misses, result.smoke.world_cache_invalid + result.grid.world_cache_invalid)}")
-    for label, stage_result in (("smoke transport", result.smoke),
-                                ("grid transport", result.grid)):
-        if stage_result.transport is not None and stage_result.transport.mode != "inline":
-            # Diagnostics on stderr, like the study/ensemble lines.
-            print(f"{label:18s}: {stage_result.transport.summary()}", file=sys.stderr)
+    _print_transport("smoke transport", result.smoke.transport)
+    _print_transport("grid transport", result.grid.transport)
     from repro.parallel.pool import FaultStats as _FaultStats
 
     campaign_faults = _FaultStats()
@@ -969,36 +963,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--iteration", type=int, default=0)
 
-    # Campaign selection + execution flags shared by `study` and
-    # `scenario run` (parsed by _config_from_args either way).
-    campaign_options = argparse.ArgumentParser(add_help=False)
-    campaign_options.add_argument("--envs", help="comma-separated environment ids")
-    campaign_options.add_argument("--apps", help="comma-separated app names")
-    campaign_options.add_argument("--sizes", help="comma-separated scales")
-    campaign_options.add_argument("--iterations", type=int, default=2)
-    campaign_options.add_argument("--seed", type=int, default=0)
-    campaign_options.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for sharded execution (default: 1, serial)",
-    )
-    campaign_options.add_argument(
+    # What a campaign covers: shared by every command that compiles a
+    # plan (parsed by _config_from_args either way).
+    selection_options = argparse.ArgumentParser(add_help=False)
+    selection_options.add_argument("--envs", help="comma-separated environment ids")
+    selection_options.add_argument("--apps", help="comma-separated app names")
+    selection_options.add_argument("--sizes", help="comma-separated scales")
+    selection_options.add_argument("--iterations", type=int, default=2)
+    selection_options.add_argument("--seed", type=int, default=0)
+    selection_options.add_argument(
         "--cache",
         metavar="DIR",
         help="content-addressed run-cache directory; repeat campaigns "
         "replay cached runs instead of re-simulating (keys embed the "
         "scenario digest, so what-if worlds never collide)",
     )
-    campaign_options.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default="auto",
-        help="how shard results cross back from workers: shared-memory "
-        "blocks (shm, zero-copy), plain pickling, or probe-and-prefer-"
-        "shm (auto, the default); results are byte-identical either way",
+    # How a plan executes: shared by every command that runs one.
+    execution_options = argparse.ArgumentParser(add_help=False)
+    execution_options.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes for sharded execution (default: 1, serial); "
+        "results are byte-identical for any count",
     )
-    campaign_options.add_argument(
+    execution_options.add_argument(
         "--spill-mb",
         type=float,
         default=None,
@@ -1007,14 +996,14 @@ def build_parser() -> argparse.ArgumentParser:
         "file mmaps (out-of-core stores; default: keep everything in "
         "RAM).  Applies to this process and every worker",
     )
-    _add_fault_flags(campaign_options)
+    _add_fault_flags(execution_options)
 
     p_study = sub.add_parser(
         "study",
         help="run a study campaign",
         epilog=_STUDY_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        parents=[campaign_options],
+        parents=[selection_options, execution_options],
     )
     p_study.add_argument("--output", help="write dataset CSV here")
     p_study.add_argument(
@@ -1037,7 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile a study/sweep/ensemble to its RunPlan and print it",
         epilog=_PLAN_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        parents=[campaign_options],
+        parents=[selection_options],
     )
     p_plan_show.add_argument(
         "--scenario",
@@ -1076,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
         "against its baseline (what incremental execution would attach)",
         epilog=_PLAN_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        parents=[campaign_options],
+        parents=[selection_options],
     )
     p_plan_diff.add_argument(
         "--scenario",
@@ -1117,7 +1106,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run scenarios against the baseline and print the delta report",
         epilog=_SCENARIO_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        parents=[campaign_options],
+        parents=[selection_options, execution_options],
     )
     p_scn_run.add_argument(
         "--scenario",
@@ -1156,7 +1145,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replicate the campaign across a seed grid x scenario grid",
         epilog=_ENSEMBLE_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        parents=[campaign_options],
+        parents=[selection_options, execution_options],
     )
     p_ens_run.add_argument(
         "--replicas",
@@ -1205,6 +1194,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the five-stage pipeline and publish the campaign report",
         epilog=_CAMPAIGN_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        parents=[execution_options],
     )
     p_camp_run.add_argument(
         "--spec",
@@ -1214,33 +1204,12 @@ def build_parser() -> argparse.ArgumentParser:
         "search space, per-stage budgets",
     )
     p_camp_run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for sharded execution (default: 1, serial); "
-        "the frontier and the winner are byte-identical for any count",
-    )
-    p_camp_run.add_argument(
         "--cache",
         metavar="DIR",
         help="run-cache directory shared by both stages (default: a "
         "private temporary directory); persist it and a re-run from the "
         "same spec replays the smoke stage from the world cache",
     )
-    p_camp_run.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default="auto",
-        help="shard-result transport (see `repro study --help`)",
-    )
-    p_camp_run.add_argument(
-        "--spill-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="out-of-core column threshold (see `repro study --help`)",
-    )
-    _add_fault_flags(p_camp_run)
     p_camp_run.add_argument("--output", help="write the Pareto frontier CSV here")
     p_camp_run.add_argument(
         "--json",

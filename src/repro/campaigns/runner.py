@@ -50,6 +50,7 @@ from repro.campaigns.stages import (
     surviving_scenarios,
 )
 from repro.ensemble.runner import EnsembleResult, EnsembleRunner
+from repro.plan.executor import require_cache_dir
 from repro.telemetry import Tracer, current_tracer, enabled, span, use_tracer
 
 
@@ -87,22 +88,13 @@ class CampaignRunner:
         *,
         workers: int = 1,
         cache_dir: str | None = None,
-        transport: str = "auto",
         retry=None,
         chaos=None,
         resume: bool = False,
     ):
-        if resume and cache_dir is None:
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                "resume needs a cache directory: completed cells re-attach "
-                "through the journal and caches the interrupted campaign "
-                "wrote (pass cache_dir=...)"
-            )
+        require_cache_dir(cache_dir, resume=resume)
         self.spec = spec
         self.workers = workers
-        self.transport = transport
         self.cache_dir = cache_dir
         self.retry = retry
         self.chaos = chaos
@@ -129,7 +121,6 @@ class CampaignRunner:
                         workers=self.workers,
                         cache_dir=cache_dir,
                         incremental=True,
-                        transport=self.transport,
                         retry=self.retry,
                         chaos=self.chaos,
                         resume=self.resume,
@@ -149,7 +140,6 @@ class CampaignRunner:
                         cache_dir=cache_dir,
                         incremental=True,
                         baseline_plan=smoke_runner.compile(),
-                        transport=self.transport,
                         retry=self.retry,
                         chaos=self.chaos,
                         resume=self.resume,

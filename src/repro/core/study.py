@@ -166,14 +166,15 @@ class StudyRunner:
         workers: int = 1,
         cache_dir: str | None = None,
         scenario=None,
-        transport: str = "auto",
         retry=None,
         chaos=None,
         resume: bool = False,
     ):
+        from repro.plan.executor import require_cache_dir
+
+        require_cache_dir(cache_dir, resume=resume)
         self.config = config
         self.workers = workers
-        self.transport = transport
         self.cache_dir = cache_dir
         self.scenario = scenario
         self.retry = retry
@@ -254,7 +255,6 @@ class StudyRunner:
             executor = PlanExecutor(
                 self.compile(),
                 workers=self.workers,
-                transport=self.transport,
                 retry=self.retry,
                 chaos=self.chaos,
                 resume=self.resume,

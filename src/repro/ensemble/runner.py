@@ -45,6 +45,7 @@ from repro.parallel.merge import TransportStats
 from repro.parallel.pool import FaultStats
 from repro.parallel.shard import ShardResult
 from repro.plan import PlanExecutor, PlanWorld, ReuseStats, RunPlan, compile_ensemble
+from repro.plan.executor import require_cache_dir
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import active
 from repro.sim.cache import RunCache, world_key
@@ -200,32 +201,19 @@ class EnsembleRunner:
         cache_dir: str | None = None,
         incremental: bool = False,
         baseline_plan: RunPlan | None = None,
-        transport: str = "auto",
         retry=None,
         chaos=None,
         resume: bool = False,
     ):
-        if incremental and cache_dir is None:
-            raise ConfigurationError(
-                "an incremental ensemble needs a cache directory: "
-                "untouched cells attach from the cell-level cache the "
-                "baseline replicas write (pass cache_dir=...)"
-            )
+        require_cache_dir(cache_dir, incremental=incremental, resume=resume)
         if baseline_plan is not None and not incremental:
             raise ConfigurationError(
                 "baseline_plan only makes sense with incremental=True: "
                 "it extends the diff baseline the incremental schedule "
                 "attaches cells from"
             )
-        if resume and cache_dir is None:
-            raise ConfigurationError(
-                "resume needs a cache directory: completed cells re-attach "
-                "through the journal and caches the interrupted run wrote "
-                "(pass cache_dir=...)"
-            )
         self.spec = spec
         self.workers = workers
-        self.transport = transport
         self.cache_dir = cache_dir
         self.incremental = incremental
         #: retry ladder / fault injection / journal re-attachment,
@@ -425,7 +413,6 @@ class EnsembleRunner:
             workers=self.workers,
             incremental=baseline is not None,
             baseline=baseline,
-            transport=self.transport,
             retry=self.retry,
             chaos=self.chaos,
             resume=self.resume,

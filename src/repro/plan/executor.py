@@ -14,15 +14,22 @@ one chunk of shard results (plus the world currently being folded) —
 an ensemble of hundreds of worlds never holds more than a window of
 records at a time.
 
-**Incremental mode** (``incremental=True``) adds diff-aware reuse: the
-plan is diffed against a baseline plan (:func:`repro.plan.diff.diff_plans`)
-and every cell the diff proves untouched is *attached* — its folded
-summary loaded straight from the cell-level cache the baseline run
-wrote — while only the dirty cells (and any reusable cells whose cache
-entries are cold or malformed) dispatch to shards.  Results are still
-yielded in plan order and are byte-identical to a from-scratch run:
-attachment only ever substitutes a cached result stored under the same
-content-addressed key the cell would recompute.
+Every run takes one path, attach then dispatch: cells that can attach
+from the cache do, the rest execute through the pool, and results
+regroup per world in plan order.  What attaches depends on the mode:
+
+* **incremental** (``incremental=True``) — the plan is diffed against a
+  baseline plan (:func:`repro.plan.diff.diff_plans`) and every cell the
+  diff proves untouched attaches its folded summary from the cell-level
+  cache the baseline run wrote;
+* **resume** (``resume=True``) — every cell the checkpoint journal
+  (:mod:`repro.plan.journal`) proves complete attaches the same way;
+* otherwise nothing attaches and every cell executes.
+
+A cell whose cache entry is cold or malformed executes instead of
+attaching.  Results are byte-identical to a from-scratch run either
+way: attachment only ever substitutes a cached result stored under the
+same content-addressed key the cell would recompute.
 """
 
 from __future__ import annotations
@@ -82,6 +89,31 @@ class ReuseStats:
         }
 
 
+def require_cache_dir(
+    cache_dir: str | None, *, incremental: bool = False, resume: bool = False
+) -> None:
+    """Fail fast when a mode that re-attaches cells has no cache directory.
+
+    Both incremental reuse and resume attach cells from the cell-level
+    cache (resume also reads the journal kept beside it), so neither can
+    run without one.  Every runner calls this at construction.
+    """
+    if cache_dir is not None:
+        return
+    if incremental:
+        raise ConfigurationError(
+            "incremental execution needs a cache directory: reusable "
+            "cells attach from the cell-level cache the baseline run "
+            "wrote (pass cache_dir=...)"
+        )
+    if resume:
+        raise ConfigurationError(
+            "resume needs a cache directory: completed cells re-attach "
+            "through the journal and caches the interrupted run wrote "
+            "(pass cache_dir=...)"
+        )
+
+
 class PlanExecutor:
     """Executes a compiled :class:`RunPlan`, streaming worlds in order."""
 
@@ -92,35 +124,13 @@ class PlanExecutor:
         workers: int = 1,
         incremental: bool = False,
         baseline: RunPlan | None = None,
-        transport: str = "auto",
         retry: RetryPolicy | None = None,
         chaos: object | None = None,
         resume: bool = False,
     ):
-        if incremental and plan.cache_dir is None:
-            raise ConfigurationError(
-                "incremental execution needs a cache directory: reusable "
-                "cells attach from the cell-level cache the baseline run "
-                "wrote (compile the plan with cache_dir=...)"
-            )
-        if resume and plan.cache_dir is None:
-            raise ConfigurationError(
-                "resume needs a cache directory: completed cells re-attach "
-                "through the journal and cell-level cache the interrupted "
-                "run wrote (compile the plan with cache_dir=...)"
-            )
-        if transport not in ("auto", "shm", "pickle"):
-            raise ConfigurationError(
-                f"unknown transport {transport!r}: choose 'auto', 'shm', "
-                "or 'pickle'"
-            )
+        require_cache_dir(plan.cache_dir, incremental=incremental, resume=resume)
         self.plan = plan
         self.workers = workers
-        #: how shard stores cross back from workers: ``"shm"`` packs
-        #: columns into shared-memory blocks, ``"pickle"`` ships them
-        #: through the pool pipe, ``"auto"`` probes and prefers shm.
-        #: Results are byte-identical either way.
-        self.transport = transport
         self.incremental = incremental
         #: the plan reusable cells are diffed against; defaults to the
         #: plan's own baseline worlds (:meth:`RunPlan.split_baseline`)
@@ -149,19 +159,18 @@ class PlanExecutor:
         return max(first, max(1, self.workers) * 4, 1)
 
     def _transport_mode(self) -> str:
-        """The transport shards actually dispatch with.
+        """How shard stores cross back from workers.
 
-        ``auto`` resolves to shared memory when the pool will really
-        cross process boundaries and the platform supports it; inline
-        execution (``workers<=1``) never pays the packing cost.
+        Shared-memory blocks when the pool really crosses process
+        boundaries and the platform supports them; pickling through the
+        pool pipe otherwise — inline execution (``workers<=1``) never
+        pays the packing cost.  Results are byte-identical either way.
         """
         if self.workers <= 1:
             return "pickle"
-        if self.transport == "auto":
-            from repro.parallel.transport import shm_available
+        from repro.parallel.transport import shm_available
 
-            return "shm" if shm_available() else "pickle"
-        return self.transport
+        return "shm" if shm_available() else "pickle"
 
     def _dispatchable(self, shards: Sequence[StudyShard]) -> tuple[StudyShard, ...]:
         """Shards as dispatched: trace- and transport-marked.
@@ -217,33 +226,6 @@ class PlanExecutor:
             return None
         return ExecutionJournal(self.plan.cache_dir)
 
-    def _resume_attached(
-        self, journal: ExecutionJournal | None
-    ) -> dict[int, ShardResult]:
-        """Cells the journal proves complete, re-attached from the cache.
-
-        A journaled key whose cache entry went cold or malformed simply
-        stays on the execute list — resume degrades to re-execution,
-        never to a hole in the tables.
-        """
-        if not self.resume or journal is None:
-            return {}
-        done_keys = journal.completed()
-        if not done_keys:
-            return {}
-        cache = RunCache(self.plan.cache_dir)
-        attached: dict[int, ShardResult] = {}
-        with span("plan.attach", journaled=len(done_keys), resume=True):
-            for shard in self.plan.shards:
-                if shard_summary_key(shard) not in done_keys:
-                    continue
-                result = attach_shard(shard, cache)
-                if result is not None:
-                    attached[shard.index] = result
-        self.faults.resumed += len(attached)
-        telemetry_count("fault.resumed", len(attached))
-        return attached
-
     def _journaled_results(
         self, to_run: Sequence[StudyShard], journal: ExecutionJournal | None
     ) -> Iterator[ShardResult]:
@@ -275,111 +257,84 @@ class PlanExecutor:
         for batch in batches:
             yield from batch
 
-    def iter_world_results(self) -> Iterator[tuple[PlanWorld, list[ShardResult]]]:
-        """Yield (world, its shard results) in plan order.
+    def _attach(self, journal: ExecutionJournal | None) -> dict[int, ShardResult]:
+        """Cells that attach from the cache instead of executing.
 
-        Shards execute across the worker pool in plan order; results are
-        regrouped by each world's shard count, so a world is yielded the
-        moment its last cell returns — no barrier across worlds.  In
-        incremental mode reusable cells attach from the cache instead of
-        executing; with ``resume`` journaled cells attach the same way;
-        the yielded groups are indistinguishable.
-        """
-        if self.incremental:
-            yield from self._iter_incremental()
-            return
-        with span(
-            "plan.run", shards=len(self.plan.shards), workers=self.workers
-        ):
-            journal = self._journal()
-            try:
-                attached = self._resume_attached(journal)
-                to_run = [
-                    s for s in self.plan.shards if s.index not in attached
-                ]
-                results = self._journaled_results(to_run, journal)
-                shards = iter(self.plan.shards)
-                for world, n_shards in self.plan.world_shard_counts():
-                    # The world span stays open across the yield, so the
-                    # caller's fold of this world is attributed to it.
-                    with span("plan.world", world=world.index, shards=n_shards):
-                        world_results = []
-                        for _ in range(n_shards):
-                            shard = next(shards)
-                            result = attached.pop(shard.index, None)
-                            world_results.append(
-                                result if result is not None else next(results)
-                            )
-                        assert all(r.world == world.index for r in world_results)
-                        self._absorb_traces(world_results)
-                        yield world, world_results
-            finally:
-                if journal is not None:
-                    journal.close()
-
-    def _iter_incremental(self) -> Iterator[tuple[PlanWorld, list[ShardResult]]]:
-        """The diff-aware path: attach reusable cells, dispatch the rest.
-
-        Attachment probes happen up front (the pool needs its work list
-        before submission), so the attached-result map peaks at the
-        whole reusable set; each entry is a *folded* cell summary — tiny
-        next to the simulation it replaces — and is popped as its world
-        yields.  A reusable cell whose cache entry is cold or malformed
-        silently joins the dispatch list; malformed entries additionally
-        flow through :meth:`RunCache.note_invalid` and count in
+        The attach set is the diff's reusable cells (incremental runs)
+        plus the cells the journal proves complete (``resume``).  Probes
+        happen up front — the pool needs its work list before submission
+        — so the map peaks at the whole attach set; each entry is a
+        *folded* cell summary, tiny next to the simulation it replaces,
+        and is popped as its world yields.  A cell whose cache entry is
+        cold or malformed silently stays on the execute list, so reuse
+        and resume degrade to re-execution, never to a hole in the
+        tables; malformed entries also flow through
+        :meth:`RunCache.note_invalid` and, in incremental runs, count in
         :attr:`reuse.invalid <ReuseStats.invalid>`.
         """
-        from repro.plan.diff import diff_plans
+        reusable: frozenset[int] = frozenset()
+        if self.incremental:
+            from repro.plan.diff import diff_plans
 
-        with span(
-            "plan.run",
-            shards=len(self.plan.shards),
-            workers=self.workers,
-            incremental=True,
-        ):
             baseline = self.baseline
             if baseline is None:
                 baseline, _ = self.plan.split_baseline()
             with span("plan.diff"):
                 self.diff = diff_plans(baseline, self.plan)
             reusable = self.diff.reusable_indices()
-            cache = RunCache(self.plan.cache_dir)
+        journaled = (
+            journal.completed() if self.resume and journal is not None else set()
+        )
+        attached: dict[int, ShardResult] = {}
+        if not (self.incremental or journaled):
+            return attached
+        cache = RunCache(self.plan.cache_dir)
+        with span("plan.attach", reusable=len(reusable), journaled=len(journaled)):
+            for shard in self.plan.shards:
+                if shard.index in reusable or (
+                    journaled and shard_summary_key(shard) in journaled
+                ):
+                    result = attach_shard(shard, cache)
+                    if result is not None:
+                        attached[shard.index] = result
+        resumed = sum(1 for index in attached if index not in reusable)
+        if resumed:
+            self.faults.resumed += resumed
+            telemetry_count("fault.resumed", resumed)
+        if self.incremental:
+            self.reuse.planned_reusable = self.diff.n_reusable
+            self.reuse.planned_dirty = self.diff.n_dirty
+            self.reuse.attached = len(attached)
+            self.reuse.executed = self.plan.n_shards - len(attached)
+            self.reuse.invalid = cache.invalid
+            for name, value in self.reuse.to_dict().items():
+                telemetry_count(f"plan.reuse.{name}", value)
+        return attached
+
+    def iter_world_results(self) -> Iterator[tuple[PlanWorld, list[ShardResult]]]:
+        """Yield (world, its shard results) in plan order.
+
+        Attached cells come from :meth:`_attach`; everything else
+        executes across the worker pool in plan order.  Results are
+        regrouped by each world's shard count, so a world is yielded the
+        moment its last cell returns — no barrier across worlds — and
+        attached and executed cells are indistinguishable in the groups.
+        """
+        with span(
+            "plan.run",
+            shards=len(self.plan.shards),
+            workers=self.workers,
+            incremental=self.incremental,
+        ):
             journal = self._journal()
-            resume_keys: set[str] = set()
-            if self.resume and journal is not None:
-                resume_keys = journal.completed()
-            attached: dict[int, ShardResult] = {}
-            resumed = 0
-            to_run = []
             try:
-                with span("plan.attach", reusable=len(reusable)):
-                    for shard in self.plan.shards:
-                        journaled = (
-                            bool(resume_keys)
-                            and shard_summary_key(shard) in resume_keys
-                        )
-                        if shard.index in reusable or journaled:
-                            before = cache.invalid
-                            result = attach_shard(shard, cache)
-                            self.reuse.invalid += cache.invalid - before
-                            if result is not None:
-                                attached[shard.index] = result
-                                if journaled and shard.index not in reusable:
-                                    resumed += 1
-                                continue
-                        to_run.append(shard)
-                if resumed:
-                    self.faults.resumed += resumed
-                    telemetry_count("fault.resumed", resumed)
-                self.reuse.planned_reusable = self.diff.n_reusable
-                self.reuse.planned_dirty = self.diff.n_dirty
-                self.reuse.attached = len(attached)
-                self.reuse.executed = len(to_run)
-                for name, value in self.reuse.to_dict().items():
-                    telemetry_count(f"plan.reuse.{name}", value)
+                attached = self._attach(journal)
+                to_run = [s for s in self.plan.shards if s.index not in attached]
                 results = self._journaled_results(to_run, journal)
                 shards = iter(self.plan.shards)
                 for world, n_shards in self.plan.world_shard_counts():
+                    # The world span stays open across the yield, so the
+                    # caller's fold of this world is attributed to it.
                     with span("plan.world", world=world.index, shards=n_shards):
                         world_results = []
                         for _ in range(n_shards):

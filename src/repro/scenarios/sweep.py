@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.study import StudyConfig, StudyReport, StudyRunner
-from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # repro.plan sits below this module in the import graph
     from repro.parallel.pool import FaultStats
@@ -157,27 +156,18 @@ class ScenarioSweep:
         cache_dir: str | None = None,
         include_baseline: bool = True,
         incremental: bool = False,
-        transport: str = "auto",
         retry=None,
         chaos=None,
         resume: bool = False,
     ):
-        if incremental and cache_dir is None:
-            raise ConfigurationError(
-                "an incremental sweep needs a cache directory: untouched "
-                "cells attach from the cell-level cache the baseline "
-                "campaign writes (pass cache_dir=...)"
-            )
-        if resume and cache_dir is None:
-            raise ConfigurationError(
-                "resume needs a cache directory: completed cells re-attach "
-                "through the journal and caches the interrupted run wrote "
-                "(pass cache_dir=...)"
-            )
+        # Imported lazily: repro.plan sits below this module in the
+        # import graph (its shards import repro.scenarios.spec).
+        from repro.plan.executor import require_cache_dir
+
+        require_cache_dir(cache_dir, incremental=incremental, resume=resume)
         self.config = config
         self.scenarios = list(scenarios)
         self.workers = workers
-        self.transport = transport
         self.cache_dir = cache_dir
         self.include_baseline = include_baseline
         self.incremental = incremental
@@ -252,7 +242,6 @@ class ScenarioSweep:
                 executor = PlanExecutor(
                     self.compile(),
                     workers=self.workers,
-                    transport=self.transport,
                     retry=self.retry,
                     chaos=self.chaos,
                     resume=self.resume,
@@ -274,7 +263,6 @@ class ScenarioSweep:
             base_executor = PlanExecutor(
                 base_plan,
                 workers=self.workers,
-                transport=self.transport,
                 retry=self.retry,
                 chaos=self.chaos,
                 resume=self.resume,
@@ -291,7 +279,6 @@ class ScenarioSweep:
                 workers=self.workers,
                 incremental=True,
                 baseline=base_plan,
-                transport=self.transport,
                 retry=self.retry,
                 chaos=self.chaos,
                 resume=self.resume,

@@ -362,6 +362,34 @@ def test_plan_diff_of_an_unperturbed_plan_is_fully_reusable(capsys):
     assert "cells: 1  reusable: 1  dirty: 0" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "show", "--chaos", "kill=1"],
+    ["plan", "diff", "--workers", "2"],
+    ["plan", "show", "--resume"],
+])
+def test_plan_commands_reject_execution_flags(argv, capsys):
+    # plan show / plan diff execute nothing, so execution flags are
+    # usage errors rather than silently ignored.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["study"],
+    ["scenario", "run", "--scenario", "spot-everything"],
+    ["ensemble", "run"],
+    ["campaign", "run", "--spec", "campaign.json"],
+])
+def test_executing_commands_have_no_transport_flag(command, capsys):
+    # The executor picks shm or pickle itself; there is no knob.
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--transport", "pickle"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --transport" in capsys.readouterr().err
+
+
 def test_plan_diff_unknown_scenario_is_a_clean_error(capsys):
     assert main(["plan", "diff", "--scenario", "no-such-world"]) == 2
     err = capsys.readouterr().err

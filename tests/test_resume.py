@@ -19,7 +19,9 @@ from repro.chaos import FaultPlan
 from repro.core.study import StudyConfig, StudyRunner
 from repro.ensemble import EnsembleRunner, EnsembleSpec
 from repro.errors import ConfigurationError, ShardExecutionError
+from repro.plan import diff_plans
 from repro.plan.journal import ExecutionJournal
+from repro.scenarios import PriceShock, Scenario, ScenarioSweep
 
 pytestmark = pytest.mark.chaos
 
@@ -153,3 +155,55 @@ def test_interrupted_ensemble_resumes_byte_identically(
 def test_ensemble_resume_requires_cache():
     with pytest.raises(ConfigurationError, match="cache"):
         EnsembleRunner(_SPEC, resume=True)
+
+
+# -- incremental sweeps: resume through the diff-aware path ---------------------
+
+_SWEEP = StudyConfig(
+    env_ids=("cpu-eks-aws", "cpu-aks-az"),
+    apps=("lammps",),
+    sizes=(16, 32, 64),
+    iterations=1,
+)
+
+_AZ_SPIKE = Scenario(
+    scenario_id="az-spike",
+    price_shocks=(PriceShock(cloud="az", multiplier=3.0),),
+)
+
+
+def test_interrupted_incremental_sweep_resumes_byte_identically(tmp_path):
+    reference = ScenarioSweep(_SWEEP, [_AZ_SPIKE]).run().delta_table().to_csv()
+    cache = str(tmp_path / "cache")
+    base_plan, rest_plan = ScenarioSweep(
+        _SWEEP, [_AZ_SPIKE], cache_dir=cache, incremental=True
+    ).compile().split_baseline()
+    reusable = diff_plans(base_plan, rest_plan).reusable_indices()
+    dirty = [s for s in rest_plan.shards if s.index not in reusable]
+    assert reusable and len(dirty) >= 2
+    # Executed cells in dispatch order: the baseline phase, then the
+    # scenario world's dirty cells (reusable ones attach, never run).
+    # The abort spares the baseline and the first dirty cell, so the
+    # interrupted run journals at least one cell the diff cannot reuse.
+    executed = list(base_plan.shards) + dirty
+    seed = _interrupting_seed(executed, safe_until=len(base_plan.shards) + 1)
+    interrupted = ScenarioSweep(
+        _SWEEP,
+        [_AZ_SPIKE],
+        cache_dir=cache,
+        incremental=True,
+        chaos=FaultPlan(abort=0.1, seed=seed),
+    )
+    with pytest.raises(ShardExecutionError):
+        interrupted.run()
+
+    resumed = ScenarioSweep(
+        _SWEEP, [_AZ_SPIKE], cache_dir=cache, incremental=True, resume=True
+    ).run()
+    assert resumed.delta_table().to_csv() == reference
+    assert resumed.faults is not None
+    assert resumed.faults.resumed >= 1
+    # Past the baseline phase's cells, the diff-aware phase re-attached
+    # journaled dirty cells too.
+    assert resumed.faults.resumed > len(base_plan.shards)
+    assert resumed.reuse.attached > len(reusable)

@@ -154,22 +154,23 @@ def test_absorb_copies_out_of_the_block():
 # -- through the real pool --------------------------------------------------
 
 
-def _study_csv(workers: int, transport: str) -> str:
-    runner = StudyRunner(
-        StudyConfig.smoke(), workers=workers, transport=transport
-    )
-    return runner.run().store.to_csv()
+def _study(workers: int):
+    return StudyRunner(StudyConfig.smoke(), workers=workers).run()
 
 
-def test_study_byte_identical_across_transports():
-    reference = _study_csv(1, "pickle")
-    assert _study_csv(4, "pickle") == reference
-    assert _study_csv(4, "shm") == reference
+def test_study_byte_identical_across_transports(monkeypatch):
+    reference = _study(1).store.to_csv()
+    shm = _study(4)
+    assert shm.transport.mode == "shm"
+    # Force the pickle path through the platform check the executor reads.
+    monkeypatch.setattr("repro.parallel.transport.shm_available", lambda: False)
+    pickled = _study(4)
+    assert pickled.transport.mode == "pickle"
+    assert pickled.store.to_csv() == reference == shm.store.to_csv()
 
 
 def test_study_reports_shm_transport():
-    runner = StudyRunner(StudyConfig.smoke(), workers=2, transport="shm")
-    report = runner.run()
+    report = _study(2)
     assert report.transport is not None
     assert report.transport.mode == "shm"
     assert report.transport.blocks > 0
@@ -178,8 +179,7 @@ def test_study_reports_shm_transport():
 
 
 def test_study_inline_run_reports_inline():
-    runner = StudyRunner(StudyConfig.smoke(), workers=1, transport="shm")
-    report = runner.run()
+    report = _study(1)
     # workers=1 never crosses a process boundary: no packing happens.
     assert report.transport is not None
     assert report.transport.mode == "inline"
