@@ -146,12 +146,12 @@ def test_bench_world_summary_cache(tmp_path):
     t0 = time.perf_counter()
     cold = EnsembleRunner(spec, cache_dir=str(tmp_path)).run()
     t_cold = time.perf_counter() - t0
-    assert cold.world_cache_misses == 4
+    assert cold.world_cache.misses == 4
 
     t0 = time.perf_counter()
     warm = EnsembleRunner(spec, cache_dir=str(tmp_path)).run()
     t_warm = time.perf_counter() - t0
-    assert warm.world_cache_hits == 4
+    assert warm.world_cache.hits == 4
     assert warm.render() == cold.render()
 
     speedup = t_cold / t_warm

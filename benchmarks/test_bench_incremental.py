@@ -102,7 +102,7 @@ def test_bench_incremental_sweep_vs_from_scratch():
 
     # The reuse accounting must say what the diff promised: 3 of every
     # scenario world's 4 cells attach, only the touched cell executes.
-    reuse = incremental.reuse
+    reuse = incremental.stats.reuse
     assert reuse is not None
     n_cells = len(_ENVS) * N_SCENARIOS
     assert reuse.planned_reusable == n_cells - N_SCENARIOS

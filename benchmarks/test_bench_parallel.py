@@ -63,7 +63,7 @@ def test_bench_cached_study(benchmark, tmp_path):
         rounds=1,
         iterations=1,
     )
-    assert report.cache_hits == report.datasets
+    assert report.cache.hits == report.datasets
 
 
 def test_sharded_and_cached_studies_match_serial_with_2x_speedup(tmp_path):
@@ -82,7 +82,7 @@ def test_sharded_and_cached_studies_match_serial_with_2x_speedup(tmp_path):
     t_warm = time.perf_counter() - t0
 
     assert warm.store.to_csv() == serial.store.to_csv()
-    assert warm.cache_hits == warm.datasets
+    assert warm.cache.hits == warm.datasets
     speedup = t_serial / t_warm
     print(f"\nserial {t_serial:.3f}s, cache-warm {t_warm:.3f}s -> {speedup:.1f}x")
     assert speedup >= 2.0, f"cache-warm speedup only {speedup:.2f}x"

@@ -102,8 +102,8 @@ def test_bench_resume_after_interrupt_vs_cold():
 
     # Faster, not different: the resumed dataset is byte-identical.
     assert resumed.store.to_csv() == cold.store.to_csv()
-    assert resumed.faults is not None
-    assert resumed.faults.resumed >= half
+    assert resumed.stats.faults is not None
+    assert resumed.stats.faults.resumed >= half
 
     ratio = t_resume / t_cold
     baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
@@ -122,7 +122,7 @@ def test_bench_resume_after_interrupt_vs_cold():
             "resume_seconds": t_resume,
             "ratio": ratio,
             "speedup": t_cold / t_resume,
-            "cells_resumed": resumed.faults.resumed,
+            "cells_resumed": resumed.stats.faults.resumed,
         },
         "byte_identical": True,
         "baseline": baseline,
@@ -137,11 +137,11 @@ def test_bench_resume_after_interrupt_vs_cold():
         kind="cost-ratio-claim",
         cold_seconds=t_cold,
         ratio=ratio,
-        cells_resumed=resumed.faults.resumed,
+        cells_resumed=resumed.stats.faults.resumed,
     )
     print(
         f"\nresume benchmark: cold {t_cold:.2f}s, resume {t_resume:.2f}s "
-        f"-> ratio {ratio:.3f} ({resumed.faults.resumed} of {len(shards)} "
+        f"-> ratio {ratio:.3f} ({resumed.stats.faults.resumed} of {len(shards)} "
         f"cells re-attached)"
     )
 

@@ -39,7 +39,7 @@ from repro.core import (
 from repro.ensemble import EnsembleRunner, EnsembleSpec, ResultFrame
 from repro.envs import ENVIRONMENTS, Environment, environment
 from repro.network import FABRICS, fabric, hookup_time
-from repro.parallel import StudyShard, execute_shards, merge_shard_results, plan_shards
+from repro.parallel import StudyShard, merge_shard_results, plan_shards
 from repro.plan import (
     PlanExecutor,
     PlannedRun,
@@ -93,7 +93,6 @@ __all__ = [
     "compile_ensemble",
     "compile_scenarios",
     "compile_study",
-    "execute_shards",
     "merge_shard_results",
     "plan_shards",
     "amg_cost_table",

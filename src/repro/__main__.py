@@ -195,27 +195,31 @@ def _fault_options(args: argparse.Namespace):
     return retry, chaos, args.resume
 
 
-def _fmt_faults_line(faults) -> str:
-    """One diagnostic line for recovery accounting (non-zero fields)."""
-    parts = [
-        f"{name}={value}"
-        for name, value in sorted(faults.to_dict().items())
-        if value
-    ]
-    return ", ".join(parts) or "none"
-
-
 def _print_faults(faults) -> None:
-    """Recovery diagnostics on stderr (stdout stays byte-identical)."""
-    if faults is not None and faults.activity:
-        print(f"fault recovery    : {_fmt_faults_line(faults)}", file=sys.stderr)
+    """Recovery diagnostics, non-zero fields only, on stderr (stdout
+    stays byte-identical)."""
+    if faults.activity:
+        line = ", ".join(
+            f"{name}={value}" for name, value in sorted(faults.to_dict().items()) if value
+        )
+        print(f"fault recovery    : {line}", file=sys.stderr)
 
 
 def _print_transport(label: str, transport) -> None:
     """Transport diagnostics on stderr (the line changes with the worker
     count; stdout stays byte-identical)."""
-    if transport is not None and transport.mode != "inline":
+    if transport.mode != "inline":
         print(f"{label:18s}: {transport.summary()}", file=sys.stderr)
+
+
+def _print_stats(stats) -> None:
+    """A run's :class:`~repro.parallel.stats.ExecutionStats`: the
+    deterministic ``cell reuse`` line on stdout (incremental runs only),
+    shard transport and fault recovery on stderr."""
+    if stats.reuse is not None:
+        print(f"cell reuse        : {_fmt_reuse_line(stats.reuse)}")
+    _print_transport("shard transport", stats.transport)
+    _print_faults(stats.faults)
 
 
 def _apply_spill_limit(args: argparse.Namespace) -> None:
@@ -230,18 +234,15 @@ def _apply_spill_limit(args: argparse.Namespace) -> None:
         set_spill_limit_mb(args.spill_mb)
 
 
-def _fmt_cache_line(
-    hits: int,
-    misses: int,
-    invalid: int,
-    reasons: dict[str, int] | None = None,
-) -> str:
-    line = f"{hits} hits, {misses} misses"
-    if invalid:
-        line += f", {invalid} invalid (re-simulated; see warnings)"
-        if reasons:
+def _fmt_cache_line(cache) -> str:
+    """One summary line for a :class:`~repro.parallel.stats.CacheStats`."""
+    line = f"{cache.hits} hits, {cache.misses} misses"
+    if cache.invalid:
+        line += f", {cache.invalid} invalid (re-simulated; see warnings)"
+        if cache.invalid_reasons:
             detail = ", ".join(
-                f"{label} x{count}" for label, count in sorted(reasons.items())
+                f"{label} x{count}"
+                for label, count in sorted(cache.invalid_reasons.items())
             )
             line += f" [{detail}]"
     return line
@@ -341,10 +342,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
     for cloud, spend in sorted(report.spend_by_cloud.items()):
         print(f"spend on {cloud:3s}      : {fmt_usd(spend)}")
     if args.cache:
-        print(f"run cache         : "
-              f"{_fmt_cache_line(report.cache_hits, report.cache_misses, report.cache_invalid, report.cache_invalid_reasons)}")
-    _print_transport("shard transport", report.transport)
-    _print_faults(report.faults)
+        print(f"run cache         : {_fmt_cache_line(report.cache)}")
+    _print_stats(report.stats)
     _write_exports(
         args,
         csv_text=report.store.to_csv,
@@ -426,19 +425,18 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         spend = sum(report.spend_by_cloud.values())
         line = (f"{sid:18s} datasets={report.datasets}  spend={fmt_usd(spend)}  "
                 f"clusters={report.clusters_created}")
-        if report.cache_invalid:
-            line += f"  cache-invalid={report.cache_invalid}"
-            if report.cache_invalid_reasons:
+        if report.cache.invalid:
+            line += f"  cache-invalid={report.cache.invalid}"
+            if report.cache.invalid_reasons:
                 detail = ",".join(
                     f"{label}x{count}"
-                    for label, count in sorted(report.cache_invalid_reasons.items())
+                    for label, count in sorted(report.cache.invalid_reasons.items())
                 )
                 line += f" [{detail}]"
         print(line)
-    if result.reuse is not None:
+    if result.stats.reuse is not None:
         print()
-        print(f"cell reuse        : {_fmt_reuse_line(result.reuse)}")
-    _print_faults(result.faults)
+    _print_stats(result.stats)
     if args.output or args.json_output:
         print()
     _write_exports(
@@ -506,12 +504,8 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
           f"({len(spec.scenario_grid())} scenarios x {spec.n_replicas} replicas)")
     print(f"spec digest       : {spec.digest()}")
     if args.cache:
-        print(f"world cache       : "
-              f"{_fmt_cache_line(result.world_cache_hits, result.world_cache_misses, result.world_cache_invalid, result.world_cache_invalid_reasons)}")
-    if result.reuse is not None:
-        print(f"cell reuse        : {_fmt_reuse_line(result.reuse)}")
-    _print_transport("shard transport", result.transport)
-    _print_faults(result.faults)
+        print(f"world cache       : {_fmt_cache_line(result.world_cache)}")
+    _print_stats(result.stats)
     _write_exports(
         args,
         csv_text=lambda: result.distribution_table().to_csv(),
@@ -854,21 +848,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
           f"{len(result.pruned)} candidates pruned, "
           f"{len(result.survivors)} survived")
     grid_line = f"grid              : {result.grid.worlds} worlds folded"
-    if result.grid.reuse is not None:
-        grid_line += f" ({_fmt_reuse_line(result.grid.reuse)})"
+    if result.grid.stats.reuse is not None:
+        grid_line += f" ({_fmt_reuse_line(result.grid.stats.reuse)})"
     print(grid_line)
     if args.cache:
-        print(f"world cache       : "
-              f"{_fmt_cache_line(result.smoke.world_cache_hits + result.grid.world_cache_hits, result.smoke.world_cache_misses + result.grid.world_cache_misses, result.smoke.world_cache_invalid + result.grid.world_cache_invalid)}")
-    _print_transport("smoke transport", result.smoke.transport)
-    _print_transport("grid transport", result.grid.transport)
-    from repro.parallel.pool import FaultStats as _FaultStats
+        from repro.parallel.stats import CacheStats
 
-    campaign_faults = _FaultStats()
-    for stage_result in (result.smoke, result.grid):
-        if stage_result.faults is not None:
-            campaign_faults.add(stage_result.faults)
-    _print_faults(campaign_faults)
+        world_cache = CacheStats()
+        world_cache.add(result.smoke.world_cache)
+        world_cache.add(result.grid.world_cache)
+        print(f"world cache       : {_fmt_cache_line(world_cache)}")
+    _print_transport("smoke transport", result.smoke.stats.transport)
+    _print_transport("grid transport", result.grid.stats.transport)
+    _print_faults(result.stats.faults)
     _write_exports(
         args,
         csv_text=lambda: frontier_table(result).to_csv(),

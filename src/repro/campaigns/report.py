@@ -76,23 +76,24 @@ def build_report(
     frontier: list,
     winner,
     stage_seconds: dict[str, float],
-    faults: dict[str, int] | None = None,
+    stats,
 ) -> CampaignReport:
     """Assemble the document from the stage pipeline's outputs.
 
     ``stage_records`` are :class:`~repro.campaigns.stages.StageRecord`
     values; ``pruned``/``candidates``/``frontier``/``winner`` are
     :class:`~repro.campaigns.frontier.Candidate` values (or ``None``).
-    ``faults`` is the run's recovery accounting
-    (:meth:`~repro.parallel.pool.FaultStats.to_dict`); like timings it
-    describes *this execution*, not the dataset — retry counts vary
-    with worker scheduling — so it lives in the non-deterministic
-    ``profile`` section, keeping :meth:`~CampaignReport.core_json`
-    byte-identical across worker counts and fault patterns.
+    ``stats`` is the run's :class:`~repro.parallel.stats.ExecutionStats`;
+    its recovery accounting is included only when it saw action.  Like
+    timings it describes *this execution*, not the dataset — retry
+    counts vary with worker scheduling — so it lives in the
+    non-deterministic ``profile`` section, keeping
+    :meth:`~CampaignReport.core_json` byte-identical across worker
+    counts and fault patterns.
     """
     profile: dict = {"stage_seconds": stage_seconds}
-    if faults:
-        profile["faults"] = faults
+    if stats.faults.activity:
+        profile["faults"] = stats.faults.to_dict()
     return CampaignReport(
         data={
             "v": REPORT_VERSION,

@@ -50,6 +50,7 @@ from repro.campaigns.stages import (
     surviving_scenarios,
 )
 from repro.ensemble.runner import EnsembleResult, EnsembleRunner
+from repro.parallel.stats import ExecutionStats
 from repro.plan.executor import require_cache_dir
 from repro.telemetry import Tracer, current_tracer, enabled, span, use_tracer
 
@@ -71,6 +72,8 @@ class CampaignResult:
     stage_records: list[StageRecord] = field(default_factory=list)
     stage_seconds: dict[str, float] = field(default_factory=dict)
     report: CampaignReport | None = None
+    #: both ensemble stages' execution accounting, smoke plus grid
+    stats: ExecutionStats = field(default_factory=ExecutionStats)
 
     def render(self) -> str:
         """The campaign as fixed-width tables (CLI output)."""
@@ -197,15 +200,9 @@ class CampaignRunner:
                         StageRecord("publish", {"artifact": "campaign report v1"}),
                     ]
                     stage_seconds = _stage_seconds(tracer)
-                    # Recovery accounting from both ensemble stages goes
-                    # into the report's profile section (execution-shaped,
-                    # like timings — never part of the decision core).
-                    from repro.parallel.pool import FaultStats
-
-                    faults = FaultStats()
-                    for stage_result in (smoke, grid):
-                        if stage_result.faults is not None:
-                            faults.add(stage_result.faults)
+                    stats = ExecutionStats()
+                    stats.add(smoke.stats)
+                    stats.add(grid.stats)
                     report = build_report(
                         spec=spec,
                         stage_records=records,
@@ -215,7 +212,7 @@ class CampaignRunner:
                         frontier=frontier,
                         winner=winner,
                         stage_seconds=stage_seconds,
-                        faults=faults.to_dict() if faults.activity else None,
+                        stats=stats,
                     )
                     # The publish span is still open here; close the
                     # loop with a direct measurement of the build.
@@ -235,6 +232,7 @@ class CampaignRunner:
             stage_records=records,
             stage_seconds=stage_seconds,
             report=report,
+            stats=stats,
         )
 
 

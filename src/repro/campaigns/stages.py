@@ -62,16 +62,9 @@ def ensemble_accounting(result: EnsembleResult) -> dict:
     sequentially in the main process and the diff/attach path is pure,
     so workers 1 and 4 report the same numbers.
     """
-    out = {
-        "worlds": result.worlds,
-        "world_cache": {
-            "hits": result.world_cache_hits,
-            "misses": result.world_cache_misses,
-            "invalid": result.world_cache_invalid,
-        },
-    }
-    if result.reuse is not None:
-        out["cell_reuse"] = result.reuse.to_dict()
+    out = {"worlds": result.worlds, "world_cache": result.world_cache.to_dict()}
+    if result.stats.reuse is not None:
+        out["cell_reuse"] = result.stats.reuse.to_dict()
     return out
 
 

@@ -44,8 +44,7 @@ from repro.core.incidents import (
 from repro.core.results import ResultStore
 from repro.envs.environment import EnvironmentKind
 from repro.envs.registry import ENVIRONMENTS
-from repro.parallel.merge import TransportStats
-from repro.parallel.pool import FaultStats
+from repro.parallel.stats import CacheStats, ExecutionStats
 from repro.errors import ConfigurationError
 from repro.telemetry import span
 
@@ -93,21 +92,14 @@ class StudyReport:
     containers_built: int
     containers_failed: int
     clusters_created: int
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: malformed cache entries encountered (each re-simulated, each
-    #: leaving a one-line warning — see :mod:`repro.sim.cache`)
-    cache_invalid: int = 0
-    #: why those entries were invalid: reason label → count (capped per
-    #: shard at :data:`~repro.sim.cache.INVALID_REASON_CAP` labels)
-    cache_invalid_reasons: dict[str, int] = field(default_factory=dict)
-    #: how shard result stores crossed back from the worker pool
-    #: (``None`` only for reports predating transport accounting)
-    transport: TransportStats | None = None
-    #: recovery events the execution path survived (retries, requeues,
-    #: rebuilds, resumed cells); ``None`` when nothing happened —
-    #: faults never change the dataset, only this accounting
-    faults: FaultStats | None = None
+    #: run-level cache counters (malformed entries are each
+    #: re-simulated, each leaving a one-line warning — see
+    #: :mod:`repro.sim.cache`)
+    cache: CacheStats = field(default_factory=CacheStats)
+    #: shard transport and recovery events (retries, requeues, rebuilds,
+    #: resumed cells) — faults never change the dataset, only this
+    #: accounting
+    stats: ExecutionStats = field(default_factory=ExecutionStats)
 
     @property
     def datasets(self) -> int:
@@ -124,16 +116,9 @@ class StudyReport:
             "containers_failed": self.containers_failed,
             "spend_by_cloud": dict(sorted(self.spend_by_cloud.items())),
             "incidents": sum(len(i) for i in self.incidents.values()),
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "invalid": self.cache_invalid,
-            },
+            "cache": self.cache.to_dict(),
+            **self.stats.to_dict(),
         }
-        if self.faults is not None and self.faults.activity:
-            # Only when something actually happened: a clean run's
-            # snapshot stays byte-identical to pre-fault-tolerance ones.
-            summary["faults"] = self.faults.to_dict()
         return {
             "summary": summary,
             "records": [encode_record(r) for r in self.store],
@@ -279,10 +264,6 @@ class StudyRunner:
                 containers_built=self.builder.built,
                 containers_failed=self.builder.failed,
                 clusters_created=self.clusters_created,
-                cache_hits=merged.cache_hits,
-                cache_misses=merged.cache_misses,
-                cache_invalid=merged.cache_invalid,
-                cache_invalid_reasons=merged.cache_invalid_reasons,
-                transport=merged.transport,
-                faults=executor.faults,
+                cache=merged.cache,
+                stats=executor.stats,
             )

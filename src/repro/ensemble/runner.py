@@ -41,10 +41,9 @@ from repro.core.results import ResultStore
 from repro.ensemble.frame import ResultFrame
 from repro.ensemble.spec import EnsembleSpec
 from repro.ensemble.stats import CellStats, StreamAccumulator
-from repro.parallel.merge import TransportStats
-from repro.parallel.pool import FaultStats
 from repro.parallel.shard import ShardResult
-from repro.plan import PlanExecutor, PlanWorld, ReuseStats, RunPlan, compile_ensemble
+from repro.parallel.stats import CacheStats, ExecutionStats, ReuseStats
+from repro.plan import PlanExecutor, PlanWorld, RunPlan, compile_ensemble
 from repro.plan.executor import require_cache_dir
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import active
@@ -89,30 +88,13 @@ class EnsembleResult:
     spend: dict[str, StreamAccumulator] = field(default_factory=dict)
     incidents: dict[str, StreamAccumulator] = field(default_factory=dict)
     worlds: int = 0
-    world_cache_hits: int = 0
-    world_cache_misses: int = 0
-    #: malformed world-summary entries encountered (each re-executed,
-    #: each leaving a one-line warning — see :mod:`repro.sim.cache`)
-    world_cache_invalid: int = 0
-    #: why those entries were invalid: reason label → count (capped at
-    #: :data:`~repro.sim.cache.INVALID_REASON_CAP` labels)
-    world_cache_invalid_reasons: dict[str, int] = field(default_factory=dict)
-    #: cell-granular reuse accounting for incremental runs
-    #: (:class:`~repro.plan.executor.ReuseStats`, including the count of
-    #: malformed cell-summary entries met on the reuse path); ``None``
-    #: for from-scratch runs
-    reuse: ReuseStats | None = None
-    #: how executed worlds' shard stores crossed back from the worker
-    #: pool (:class:`~repro.parallel.merge.TransportStats`); world-cache
-    #: replays ship nothing, so a fully-warm run reports no blocks.
-    #: Deliberately absent from :meth:`to_json_dict` — transport is an
-    #: execution property, not part of the dataset.
-    transport: TransportStats | None = None
-    #: recovery events executed worlds survived (retries, requeues,
-    #: rebuilds, resumed cells); included in :meth:`to_json_dict` only
-    #: when something actually happened, so clean snapshots are
-    #: byte-identical to pre-fault-tolerance ones
-    faults: FaultStats | None = None
+    #: world-summary cache counters (malformed entries are each
+    #: re-executed, each leaving a one-line warning — see
+    #: :mod:`repro.sim.cache`)
+    world_cache: CacheStats = field(default_factory=CacheStats)
+    #: what executed worlds went through; world-cache replays ship
+    #: nothing, so a fully-warm run reports no transport blocks
+    stats: ExecutionStats = field(default_factory=ExecutionStats)
 
     def scenario_ids(self) -> list[str]:
         """Scenario ids in fold order (baseline first)."""
@@ -161,24 +143,16 @@ class EnsembleResult:
             if threshold is not None and stats.fom.count:
                 entry["fom_exceedance"] = stats.fom.exceedance(threshold)
             cells.append(entry)
-        out = {
+        return {
             "spec": self.spec.to_dict(),
             "digest": self.spec.digest(),
             "worlds": self.worlds,
-            "world_cache": {
-                "hits": self.world_cache_hits,
-                "misses": self.world_cache_misses,
-                "invalid": self.world_cache_invalid,
-            },
+            "world_cache": self.world_cache.to_dict(),
             "spend_usd": {sid: acc.summary() for sid, acc in self.spend.items()},
             "incidents": {sid: acc.summary() for sid, acc in self.incidents.items()},
             "cells": cells,
+            **self.stats.to_dict(),
         }
-        if self.reuse is not None:
-            out["cell_reuse"] = self.reuse.to_dict()
-        if self.faults is not None and self.faults.activity:
-            out["faults"] = self.faults.to_dict()
-        return out
 
     def to_json(self, *, indent: int | None = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
@@ -221,9 +195,6 @@ class EnsembleRunner:
         self.retry = retry
         self.chaos = chaos
         self.resume = resume
-        #: accumulates over one run() invocation (see EnsembleResult)
-        self._transport_stats = TransportStats()
-        self._fault_stats = FaultStats()
         #: extra worlds (e.g. a campaign's smoke stage) whose cached
         #: cells this run may attach, on top of its own baseline replicas
         self.baseline_plan = baseline_plan
@@ -265,10 +236,10 @@ class EnsembleRunner:
         is byte-identical to a from-scratch run.
         """
         result = EnsembleResult(spec=self.spec)
-        self._transport_stats = TransportStats()
-        result.transport = self._transport_stats
-        self._fault_stats = FaultStats()
-        result.faults = self._fault_stats
+        if self.incremental:
+            # Present even when every world replays from the world cache
+            # and no executor runs.
+            result.stats.reuse = ReuseStats()
         cache = RunCache(self.cache_dir) if self.cache_dir else None
         plan = self.compile()
         with span(
@@ -279,13 +250,12 @@ class EnsembleRunner:
         ):
             baseline: RunPlan | None = None
             if self.incremental:
-                result.reuse = ReuseStats()
                 own_baseline, _ = plan.split_baseline()
                 # Phase 1: run (and summary-cache) the baseline replicas.
                 # Their summaries are discarded here — the main pass below
                 # replays them from the world cache *in fold order*, so the
                 # streamed folds see the exact from-scratch ordering.
-                for _ in self._summaries(own_baseline, cache):
+                for _ in self._summaries(own_baseline, cache, result.stats):
                     pass
                 # The diff baseline may extend beyond this run's own
                 # baseline replicas: a campaign threads its smoke-stage
@@ -297,30 +267,30 @@ class EnsembleRunner:
                 if self.baseline_plan is not None:
                     baseline = RunPlan.concat(own_baseline, self.baseline_plan)
             for world, summary, cached in self._summaries(
-                plan, cache, baseline=baseline, reuse=result.reuse
+                plan, cache, result.stats, baseline=baseline
             ):
                 if cache is not None:  # no phantom misses when uncached
                     if cached:
-                        result.world_cache_hits += 1
+                        result.world_cache.hits += 1
                     else:
-                        result.world_cache_misses += 1
+                        result.world_cache.misses += 1
                 with span("ensemble.fold", world=world.index):
                     self._fold(result, world, summary)
                 result.worlds += 1
             if cache is not None:
                 # This cache object only ever touches world-summary entries,
                 # so its invalid counter *is* the world-level degradation.
-                result.world_cache_invalid = cache.invalid
-                result.world_cache_invalid_reasons = dict(cache.invalid_reasons)
+                result.world_cache.invalid = cache.invalid
+                result.world_cache.invalid_reasons = dict(cache.invalid_reasons)
             return result
 
     def _summaries(
         self,
         plan: RunPlan,
         cache: RunCache | None,
+        stats: ExecutionStats,
         *,
         baseline: RunPlan | None = None,
-        reuse: ReuseStats | None = None,
     ) -> Iterator[tuple[PlanWorld, dict, bool]]:
         """Yield (world, folded summary, was-cached) in fold order.
 
@@ -329,8 +299,8 @@ class EnsembleRunner:
         sub-plan.  The pending list is flushed before any cached world
         is yielded, so the output order is exactly the plan order.
         ``baseline`` switches the executed sub-plans to the incremental
-        mode, diffing against it; ``reuse`` accumulates their cell
-        accounting.
+        mode, diffing against it; ``stats`` accumulates every sub-plan
+        executor's accounting.
         """
         pending: list[tuple[PlanWorld, str | None]] = []
         for world in plan.worlds:
@@ -341,7 +311,7 @@ class EnsembleRunner:
             else:
                 data = None
             if self._valid_summary(data):
-                yield from self._execute(plan, pending, cache, baseline=baseline, reuse=reuse)
+                yield from self._execute(plan, pending, cache, stats, baseline=baseline)
                 pending = []
                 yield world, data, True
             else:
@@ -350,7 +320,7 @@ class EnsembleRunner:
                     # (non-JSON corruption is traced inside get_json).
                     cache.note_invalid(key, "world summary malformed")
                 pending.append((world, key))
-        yield from self._execute(plan, pending, cache, baseline=baseline, reuse=reuse)
+        yield from self._execute(plan, pending, cache, stats, baseline=baseline)
 
     @staticmethod
     def _is_number(value) -> bool:
@@ -396,9 +366,9 @@ class EnsembleRunner:
         plan: RunPlan,
         pending: list[tuple[PlanWorld, str | None]],
         cache: RunCache | None,
+        stats: ExecutionStats,
         *,
         baseline: RunPlan | None = None,
-        reuse: ReuseStats | None = None,
     ) -> Iterator[tuple[PlanWorld, dict, bool]]:
         """Execute missing worlds through the shared executor, in order.
 
@@ -421,8 +391,6 @@ class EnsembleRunner:
         try:
             for (world, key), (executed, shard_results) in zip(pending, world_results):
                 assert executed.index == world.index
-                for shard in shard_results:
-                    self._transport_stats.note(shard)
                 summary = self._world_summary(shard_results)
                 if cache is not None and key is not None:
                     cache.put_json(key, summary, level="world")
@@ -430,9 +398,7 @@ class EnsembleRunner:
         finally:
             # Harvest even when a world dies mid-batch: the accounting
             # up to the failure still reaches the caller's report.
-            self._fault_stats.add(executor.faults)
-        if reuse is not None:
-            reuse.add(executor.reuse)
+            stats.add(executor.stats)
 
     @staticmethod
     def _world_summary(shard_results: list[ShardResult]) -> dict:

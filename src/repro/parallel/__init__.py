@@ -17,34 +17,36 @@ Execution is fault-tolerant: per-shard futures retry transient failures
 with deterministic backoff under a :class:`~repro.parallel.pool.RetryPolicy`,
 broken pools rebuild and requeue, stragglers past their deadline are
 re-dispatched, and exhausted retries degrade workers→serial — with
-every recovery event accounted in a
-:class:`~repro.parallel.pool.FaultStats`.
+every run's accounting in :mod:`~repro.parallel.stats`.
 """
 
 from repro.parallel.merge import (
     MergedStudy,
-    TransportStats,
     merge_incident_logs,
     merge_shard_results,
 )
-from repro.parallel.pool import (
-    FaultStats,
-    RetryPolicy,
-    execute_shards,
-    pmap,
-)
+from repro.parallel.pool import RetryPolicy, pmap
 from repro.parallel.shard import ShardResult, StudyShard, execute_shard, plan_shards
+from repro.parallel.stats import (
+    CacheStats,
+    ExecutionStats,
+    FaultStats,
+    ReuseStats,
+    TransportStats,
+)
 from repro.parallel.transport import reap_segments, shm_available
 
 __all__ = [
+    "CacheStats",
+    "ExecutionStats",
     "FaultStats",
     "MergedStudy",
     "RetryPolicy",
+    "ReuseStats",
     "ShardResult",
     "StudyShard",
     "TransportStats",
     "execute_shard",
-    "execute_shards",
     "merge_incident_logs",
     "merge_shard_results",
     "plan_shards",

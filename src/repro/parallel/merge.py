@@ -10,66 +10,13 @@ completion order.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.incidents import Incident, merge_incident_logs
 from repro.core.results import ResultStore
 from repro.parallel.shard import ShardResult
-
-
-@dataclass
-class TransportStats:
-    """How shard result stores crossed back to the merging process."""
-
-    #: shared-memory blocks attached (one per shm-transported shard)
-    blocks: int = 0
-    #: column-payload bytes that crossed zero-copy through those blocks
-    bytes: int = 0
-    #: column bytes *copied* at attach time — 0 by construction for shm
-    #: (the views alias the block); the acceptance gate asserts it
-    copied_bytes: int = 0
-    #: ``"inline"`` (never left this process), ``"shm"``, ``"pickle"``,
-    #: or ``"mixed"`` when shards disagree (e.g. shm with fallbacks)
-    mode: str = "inline"
-
-    def note(self, result: ShardResult) -> None:
-        """Fold one shard result's transport evidence."""
-        stats = result.store.transport_stats
-        if stats is not None:
-            self.blocks += stats.get("blocks", 0)
-            self.bytes += stats.get("bytes", 0)
-            self.copied_bytes += stats.get("copied_bytes", 0)
-            mode = "shm"
-        elif result.worker_pid not in (-1, os.getpid()):
-            mode = "pickle"
-        else:
-            mode = "inline"
-        if self.mode == "inline":
-            self.mode = mode
-        elif mode != "inline" and mode != self.mode:
-            self.mode = "mixed"
-
-    def summary(self) -> str:
-        """One human line, e.g. ``shm, 12 blocks, 1.4 MB shipped``."""
-        if self.blocks == 0:
-            return self.mode
-        per_shard = self.bytes / self.blocks
-        return (
-            f"{self.mode}, {self.blocks} blocks, "
-            f"{_fmt_bytes(self.bytes)} shipped "
-            f"({_fmt_bytes(per_shard)}/shard, "
-            f"{_fmt_bytes(self.copied_bytes)} copied at merge)"
-        )
-
-
-def _fmt_bytes(n: float) -> str:
-    for unit in ("B", "kB", "MB"):
-        if n < 1000 or unit == "MB":
-            return f"{n:.0f} {unit}" if unit == "B" else f"{n:.1f} {unit}"
-        n /= 1000
-    return f"{n:.1f} MB"
+from repro.parallel.stats import CacheStats
 
 
 @dataclass
@@ -80,14 +27,8 @@ class MergedStudy:
     incidents: dict[str, list[Incident]] = field(default_factory=dict)
     spend_by_cloud: dict[str, float] = field(default_factory=dict)
     clusters_created: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalid: int = 0
-    #: why invalid entries were invalid: reason label → count, summed
-    #: across shards (each shard caps its own histogram)
-    cache_invalid_reasons: dict[str, int] = field(default_factory=dict)
-    #: how the shard stores reached this process (zero-copy accounting)
-    transport: TransportStats = field(default_factory=TransportStats)
+    #: run-level cache counters, summed across shards
+    cache: CacheStats = field(default_factory=CacheStats)
 
 
 def merge_shard_results(
@@ -111,12 +52,5 @@ def merge_shard_results(
         for cloud, spend in shard.spend_by_cloud.items():
             merged.spend_by_cloud[cloud] = merged.spend_by_cloud.get(cloud, 0.0) + spend
         merged.clusters_created += shard.clusters_created
-        merged.cache_hits += shard.cache_hits
-        merged.cache_misses += shard.cache_misses
-        merged.cache_invalid += shard.cache_invalid
-        for label, count in shard.cache_invalid_reasons.items():
-            merged.cache_invalid_reasons[label] = (
-                merged.cache_invalid_reasons.get(label, 0) + count
-            )
-        merged.transport.note(shard)
+        merged.cache.add(shard.cache)
     return merged

@@ -28,9 +28,9 @@ carrying a :class:`RetryPolicy`:
 Determinism still comes from the shards, not the pool — any worker
 count, any fault pattern that is eventually survived, produces
 identical results.  Retry/requeue accounting accumulates into a
-:class:`FaultStats` the caller may pass in; ``pool.retry`` /
-``pool.requeue`` spans and ``fault.*`` counters record every recovery
-event.
+:class:`~repro.parallel.stats.FaultStats` the caller may pass in;
+``pool.retry`` / ``pool.requeue`` spans and ``fault.*`` counters record
+every recovery event.
 
 If the host cannot spawn worker processes at all (restricted sandboxes,
 missing semaphores), :func:`pmap` degrades to the serial path rather
@@ -49,10 +49,11 @@ from concurrent.futures import (
     ProcessPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro.errors import ShardExecutionError, TransientShardError
+from repro.parallel.stats import FaultStats
 from repro.telemetry import count, span
 
 T = TypeVar("T")
@@ -108,43 +109,6 @@ class RetryPolicy:
             self.backoff_cap,
             self.backoff_base * (2.0 ** (attempt - 1)) * (0.5 + frac),
         )
-
-
-@dataclass
-class FaultStats:
-    """Every recovery event the execution path survived.
-
-    Accumulates across pools and executors via :meth:`add`; flows onto
-    study/ensemble/campaign reports so a run that limped through faults
-    says so (the merged *results* are byte-identical either way).
-    """
-
-    #: transient failures re-dispatched with backoff
-    retries: int = 0
-    #: flights resubmitted because their pool died under them
-    requeues: int = 0
-    #: pool teardown/rebuild cycles
-    rebuilds: int = 0
-    #: per-shard deadlines that expired
-    timeouts: int = 0
-    #: drops down the workers→serial ladder (degrade events and final
-    #: inline rungs)
-    serial_hops: int = 0
-    #: faults attributed to the chaos harness (:mod:`repro.chaos`)
-    injected: int = 0
-    #: shards re-attached from the checkpoint journal on ``--resume``
-    resumed: int = 0
-
-    def add(self, other: "FaultStats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    def to_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @property
-    def activity(self) -> bool:
-        return any(getattr(self, f.name) for f in fields(self))
 
 
 def _call_tagged(fn: Callable[[T], R], item: T, ordinal: int) -> R:
@@ -589,15 +553,3 @@ def pmap_chunked(
     )
     yield from engine.run()
 
-
-def execute_shards(
-    shards: Sequence[T],
-    *,
-    workers: int = 1,
-    policy: RetryPolicy | None = None,
-    stats: FaultStats | None = None,
-) -> list:
-    """Execute study shards across ``workers`` processes, in plan order."""
-    from repro.parallel.shard import execute_shard
-
-    return pmap(execute_shard, shards, workers=workers, policy=policy, stats=stats)

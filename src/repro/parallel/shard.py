@@ -42,6 +42,7 @@ from repro.k8s.daemonsets import (
 from repro.k8s.flux_operator import FluxOperator, MiniClusterSpec
 from repro.errors import ConfigurationError
 from repro.core.results import ResultStore
+from repro.parallel.stats import CacheStats
 from repro.scenarios.apply import overlay_provider
 from repro.scenarios.spec import Scenario, active, footprint_digest
 from repro.scheduler.queueing import OnPremQueueModel
@@ -110,12 +111,8 @@ class ShardResult:
     incidents: list[Incident] = field(default_factory=list)
     spend_by_cloud: dict[str, float] = field(default_factory=dict)
     clusters_created: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: malformed cache entries encountered (and re-simulated around)
-    cache_invalid: int = 0
-    #: why those entries were invalid: reason label → count
-    cache_invalid_reasons: dict[str, int] = field(default_factory=dict)
+    #: run-level cache counters for this cell (zeros when uncached)
+    cache: CacheStats = field(default_factory=CacheStats)
     #: which process executed the cell and in what dispatch order the
     #: pool handed it out (-1 = never went through the pool); pure
     #: observability — merges ignore them
@@ -308,7 +305,7 @@ def _decode_shard(shard: StudyShard, data: dict) -> ShardResult:
         incidents=incidents,
         spend_by_cloud=dict(data["spend_by_cloud"]),
         clusters_created=int(data["clusters_created"]),
-        cache_hits=len(store),
+        cache=CacheStats(hits=len(store)),
     )
 
 
@@ -570,10 +567,7 @@ def _finish_shard(
 ) -> None:
     if cache is None:
         return
-    result.cache_hits = cache.hits
-    result.cache_misses = cache.misses
-    result.cache_invalid = cache.invalid
-    result.cache_invalid_reasons = dict(cache.invalid_reasons)
+    result.cache = CacheStats.of(cache)
     cell_key = _shard_cache_key(shard, engine)
     cache.put_json(cell_key, _encode_shard(result))
     if shard.chaos is not None:

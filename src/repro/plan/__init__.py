@@ -21,7 +21,7 @@ the reusable/dirty classification the incremental mode would act on.
 
 from repro.plan.compile import compile_ensemble, compile_scenarios, compile_study
 from repro.plan.diff import CellDiff, PlanDiff, diff_plans
-from repro.plan.executor import PlanExecutor, ReuseStats
+from repro.plan.executor import PlanExecutor
 from repro.plan.ir import PlannedRun, PlanWorld, RunPlan, planned_runs
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "PlanExecutor",
     "PlanWorld",
     "PlannedRun",
-    "ReuseStats",
     "RunPlan",
     "compile_ensemble",
     "compile_scenarios",

@@ -35,13 +35,12 @@ same content-addressed key the cell would recompute.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.core.incidents import Incident
 from repro.errors import ConfigurationError
 from repro.parallel.merge import MergedStudy, merge_shard_results
-from repro.parallel.pool import FaultStats, RetryPolicy, pmap_chunked
+from repro.parallel.pool import RetryPolicy, pmap_chunked
 from repro.parallel.shard import (
     ShardResult,
     StudyShard,
@@ -49,44 +48,12 @@ from repro.parallel.shard import (
     execute_shard,
     shard_summary_key,
 )
+from repro.parallel.stats import ExecutionStats, ReuseStats
 from repro.plan.ir import PlanWorld, RunPlan
 from repro.plan.journal import ExecutionJournal
 from repro.sim.cache import RunCache
 from repro.telemetry import count as telemetry_count
 from repro.telemetry import current_tracer, enabled, span
-
-
-@dataclass
-class ReuseStats:
-    """What incremental execution reused, executed, and rejected."""
-
-    #: cells the diff classified reusable / dirty
-    planned_reusable: int = 0
-    planned_dirty: int = 0
-    #: cells actually attached from the cell-level cache
-    attached: int = 0
-    #: cells dispatched to shard execution (dirty + cold/invalid reuse)
-    executed: int = 0
-    #: malformed cell-summary entries met on the reuse path — each one
-    #: flowed through :meth:`~repro.sim.cache.RunCache.note_invalid`
-    #: and re-executed; surfaced so degradation is never silent
-    invalid: int = 0
-
-    def add(self, other: "ReuseStats") -> None:
-        self.planned_reusable += other.planned_reusable
-        self.planned_dirty += other.planned_dirty
-        self.attached += other.attached
-        self.executed += other.executed
-        self.invalid += other.invalid
-
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "planned_reusable": self.planned_reusable,
-            "planned_dirty": self.planned_dirty,
-            "attached": self.attached,
-            "executed": self.executed,
-            "invalid": self.invalid,
-        }
 
 
 def require_cache_dir(
@@ -137,8 +104,6 @@ class PlanExecutor:
         self.baseline = baseline
         #: the computed diff (populated when incremental iteration starts)
         self.diff = None
-        #: reuse accounting (all zeros for non-incremental runs)
-        self.reuse = ReuseStats()
         #: retry ladder for the pool (defaults are production-sane)
         self.retry = retry if retry is not None else RetryPolicy()
         #: fault-injection plan stamped onto every dispatched shard
@@ -147,9 +112,10 @@ class PlanExecutor:
         #: re-attach cells the journal proves complete instead of
         #: executing them (:mod:`repro.plan.journal`)
         self.resume = resume
-        #: recovery accounting: retries, requeues, rebuilds, resumed
-        #: cells — all zeros for a clean run
-        self.faults = FaultStats()
+        #: what this execution went through: shard transport, recovery
+        #: events (all zeros for a clean run) and, for incremental runs
+        #: only, cell reuse
+        self.stats = ExecutionStats(reuse=ReuseStats() if incremental else None)
 
     def _chunk_size(self) -> int:
         # A chunk spans several small worlds (or part of one large one);
@@ -251,7 +217,7 @@ class PlanExecutor:
             workers=self.workers,
             chunk_size=self._chunk_size(),
             policy=self.retry,
-            stats=self.faults,
+            stats=self.stats.faults,
             on_result=bank,
         )
         for batch in batches:
@@ -270,7 +236,7 @@ class PlanExecutor:
         and resume degrade to re-execution, never to a hole in the
         tables; malformed entries also flow through
         :meth:`RunCache.note_invalid` and, in incremental runs, count in
-        :attr:`reuse.invalid <ReuseStats.invalid>`.
+        :attr:`stats.reuse.invalid <repro.parallel.stats.ReuseStats.invalid>`.
         """
         reusable: frozenset[int] = frozenset()
         if self.incremental:
@@ -299,15 +265,17 @@ class PlanExecutor:
                         attached[shard.index] = result
         resumed = sum(1 for index in attached if index not in reusable)
         if resumed:
-            self.faults.resumed += resumed
+            self.stats.faults.resumed += resumed
             telemetry_count("fault.resumed", resumed)
         if self.incremental:
-            self.reuse.planned_reusable = self.diff.n_reusable
-            self.reuse.planned_dirty = self.diff.n_dirty
-            self.reuse.attached = len(attached)
-            self.reuse.executed = self.plan.n_shards - len(attached)
-            self.reuse.invalid = cache.invalid
-            for name, value in self.reuse.to_dict().items():
+            self.stats.reuse = ReuseStats(
+                planned_reusable=self.diff.n_reusable,
+                planned_dirty=self.diff.n_dirty,
+                attached=len(attached),
+                executed=self.plan.n_shards - len(attached),
+                invalid=cache.invalid,
+            )
+            for name, value in self.stats.reuse.to_dict().items():
                 telemetry_count(f"plan.reuse.{name}", value)
         return attached
 
@@ -319,6 +287,7 @@ class PlanExecutor:
         regrouped by each world's shard count, so a world is yielded the
         moment its last cell returns — no barrier across worlds — and
         attached and executed cells are indistinguishable in the groups.
+        Every yielded result's transport is noted in :attr:`stats`.
         """
         with span(
             "plan.run",
@@ -345,6 +314,8 @@ class PlanExecutor:
                             )
                         assert all(r.world == world.index for r in world_results)
                         self._absorb_traces(world_results)
+                        for result in world_results:
+                            self.stats.transport.note(result)
                         yield world, world_results
             finally:
                 if journal is not None:

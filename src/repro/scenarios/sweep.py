@@ -32,14 +32,11 @@ all of them, with byte-identical per-scenario datasets
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from repro.core.study import StudyConfig, StudyReport, StudyRunner
-
-if TYPE_CHECKING:  # repro.plan sits below this module in the import graph
-    from repro.parallel.pool import FaultStats
-    from repro.plan.executor import ReuseStats
+from repro.parallel.stats import ExecutionStats
 from repro.reporting.deltas import delta_table, scenario_deltas
 from repro.reporting.tables import render_table
 from repro.scenarios.presets import scenario_grid
@@ -59,20 +56,24 @@ class ScenarioOutcome:
 class SweepResult:
     """Every world of a sweep, baseline first (insertion order).
 
-    ``reuse`` carries the incremental run's cell accounting
-    (:class:`~repro.plan.executor.ReuseStats`): how many cells the diff
-    classified reusable/dirty, how many actually attached from cache,
-    how many executed, and how many cache entries were malformed on the
-    reuse path (each of those re-executed and left a warning trace —
-    degradation is surfaced, never silent).  ``None`` for from-scratch
-    sweeps.
+    ``stats`` folds every executor the sweep ran
+    (:class:`~repro.parallel.stats.ExecutionStats`): shard transport,
+    recovery events and, for incremental sweeps, the cell reuse — how
+    many cells the diff classified reusable/dirty, how many actually
+    attached from cache, how many executed, and how many cache entries
+    were malformed on the reuse path (each of those re-executed and left
+    a warning trace — degradation is surfaced, never silent).
     """
 
     outcomes: dict[str, ScenarioOutcome]
-    reuse: "ReuseStats | None" = None
-    #: recovery accounting summed over every executor the sweep ran
-    #: (``None`` when fault tolerance saw no action)
-    faults: "FaultStats | None" = None
+    stats: ExecutionStats = field(default_factory=ExecutionStats)
+
+    @property
+    def reuse(self):
+        """``stats.reuse``, read-only.  Kept because the frozen
+        end-to-end benchmark (``perfbench/workloads.py``) reads
+        ``SweepResult.reuse``; everything else reads ``stats``."""
+        return self.stats.reuse
 
     @property
     def baseline(self) -> StudyReport:
@@ -126,10 +127,7 @@ class SweepResult:
         }
         if any(o.scenario.is_baseline for o in self.outcomes.values()):
             out["deltas"] = [asdict(delta) for delta in self.deltas()]
-        if self.reuse is not None:
-            out["cell_reuse"] = self.reuse.to_dict()
-        if self.faults is not None and self.faults.activity:
-            out["faults"] = self.faults.to_dict()
+        out.update(self.stats.to_dict())
         return out
 
     def to_json(self, *, indent: int | None = 2) -> str:
@@ -203,7 +201,6 @@ class ScenarioSweep:
         to a from-scratch sweep either way; only the cache/reuse
         counters differ.
         """
-        from repro.parallel.pool import FaultStats
         from repro.plan import PlanExecutor, compile_study
 
         builder_runner = StudyRunner(self.config)
@@ -225,10 +222,7 @@ class ScenarioSweep:
                     containers_built=builder_runner.builder.built,
                     containers_failed=builder_runner.builder.failed,
                     clusters_created=merged.clusters_created,
-                    cache_hits=merged.cache_hits,
-                    cache_misses=merged.cache_misses,
-                    cache_invalid=merged.cache_invalid,
-                    cache_invalid_reasons=merged.cache_invalid_reasons,
+                    cache=merged.cache,
                 ),
             )
 
@@ -248,8 +242,7 @@ class ScenarioSweep:
                 )
                 for world, merged in executor.merged_worlds(seed_incidents=build_incidents):
                     fold(world, merged)
-                faults = executor.faults if executor.faults.activity else None
-                return SweepResult(outcomes=outcomes, faults=faults)
+                return SweepResult(outcomes=outcomes, stats=executor.stats)
 
             # Phase 1: the baseline campaign (the reference every scenario
             # world diffs against).  With include_baseline=False the sweep
@@ -285,11 +278,7 @@ class ScenarioSweep:
             )
             for world, merged in inc_executor.merged_worlds(seed_incidents=build_incidents):
                 fold(world, merged)
-            faults = FaultStats()
-            faults.add(base_executor.faults)
-            faults.add(inc_executor.faults)
-            return SweepResult(
-                outcomes=outcomes,
-                reuse=inc_executor.reuse,
-                faults=faults if faults.activity else None,
-            )
+            result = SweepResult(outcomes=outcomes)
+            result.stats.add(base_executor.stats)
+            result.stats.add(inc_executor.stats)
+            return result

@@ -258,10 +258,10 @@ def test_rerun_short_circuits_smoke_via_the_world_cache(spec):
     with tempfile.TemporaryDirectory() as cache_dir:
         cold = CampaignRunner(spec, cache_dir=cache_dir).run()
         warm = CampaignRunner(spec, cache_dir=cache_dir).run()
-    assert warm.smoke.world_cache_hits == warm.smoke.worlds
-    assert warm.smoke.world_cache_misses == 0
-    assert warm.smoke.reuse is not None and warm.smoke.reuse.executed == 0
-    assert warm.grid.reuse is not None and warm.grid.reuse.executed == 0
+    assert warm.smoke.world_cache.hits == warm.smoke.worlds
+    assert warm.smoke.world_cache.misses == 0
+    assert warm.smoke.stats.reuse is not None and warm.smoke.stats.reuse.executed == 0
+    assert warm.grid.stats.reuse is not None and warm.grid.stats.reuse.executed == 0
     # Every decision-bearing section is byte-identical; only the
     # ``stages`` accounting (cache hits vs executions) may move.
     cold_core, warm_core = cold.report.core(), warm.report.core()

@@ -21,7 +21,8 @@ from repro.errors import (
     ShardExecutionError,
     TransientShardError,
 )
-from repro.parallel.pool import FaultStats, RetryPolicy, pmap
+from repro.parallel.pool import RetryPolicy, pmap
+from repro.parallel.stats import FaultStats
 
 pytestmark = pytest.mark.chaos
 
@@ -166,7 +167,7 @@ def test_pool_exhaustion_falls_to_final_serial_rung():
 def _smoke_csv(**kwargs) -> tuple[str, FaultStats]:
     runner = StudyRunner(StudyConfig.smoke(), **kwargs)
     report = runner.run()
-    return report.store.to_csv(), report.faults
+    return report.store.to_csv(), report.stats.faults
 
 
 @pytest.fixture(scope="module")
@@ -240,5 +241,5 @@ def test_corrupted_cache_entries_degrade_to_re_execution(tmp_path, clean_csv):
     runner = StudyRunner(StudyConfig.smoke(), cache_dir=cache)
     report = runner.run()
     assert report.store.to_csv() == clean_csv
-    assert report.cache_invalid >= 1
-    assert report.cache_invalid_reasons
+    assert report.cache.invalid >= 1
+    assert report.cache.invalid_reasons

@@ -118,6 +118,30 @@ def test_scenario_run_command(tmp_path, capsys):
     assert csv_path.read_text().startswith("scenario,")
 
 
+def _transport_mode(stderr: str) -> str | None:
+    """The mode named on the ``shard transport`` stderr line, if any."""
+    for line in stderr.splitlines():
+        if line.startswith("shard transport"):
+            return line.split(":", 1)[1].split(",")[0].strip()
+    return None
+
+
+def test_scenario_run_reports_shard_transport_like_study(capsys):
+    selection = ["--envs", "cpu-eks-aws", "--apps", "amg2023", "--sizes", "32,64"]
+    assert main(["study", *selection, "--workers", "2"]) == 0
+    study = capsys.readouterr()
+    sweep_argv = ["scenario", "run", "--scenario", "spot-everything", *selection]
+    assert main([*sweep_argv, "--workers", "1"]) == 0
+    serial = capsys.readouterr()
+    assert main([*sweep_argv, "--workers", "2"]) == 0
+    sharded = capsys.readouterr()
+    # The same pool carries both commands' shards, so whenever study
+    # names a transport (the host can spawn workers), so does the sweep.
+    assert _transport_mode(sharded.err) == _transport_mode(study.err)
+    assert _transport_mode(serial.err) is None  # inline: nothing crossed
+    assert sharded.out == serial.out
+
+
 def test_scenario_run_accepts_a_json_spec_file(tmp_path, capsys):
     spec = tmp_path / "my-spike.json"
     spec.write_text(
@@ -605,6 +629,34 @@ def test_campaign_run_is_byte_identical_across_worker_counts(tmp_path, capsys):
     serial = run("1", tmp_path / "r1.json")
     sharded = run("4", tmp_path / "r4.json")
     assert serial == sharded
+
+
+def test_campaign_run_cache_line_shows_invalid_reasons(tmp_path, capsys):
+    import json
+
+    from repro.campaigns import CampaignSpec
+    from repro.ensemble import EnsembleRunner
+    from repro.sim.cache import RunCache
+
+    spec_path = tmp_path / "campaign.json"
+    spec_path.write_text(CAMPAIGN_SPEC_JSON)
+    cache_dir = str(tmp_path / "cache")
+    argv = ["campaign", "run", "--spec", str(spec_path), "--cache", cache_dir]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out
+    assert "world cache       : 4 hits, 3 misses\n" in clean
+    # Poison one smoke world's summary: the re-run replays the rest and
+    # re-executes that one, naming why its entry was rejected.
+    smoke = EnsembleRunner(
+        CampaignSpec.from_dict(json.loads(CAMPAIGN_SPEC_JSON)).smoke_spec(),
+        cache_dir=cache_dir,
+    )
+    RunCache(cache_dir).poison(smoke._world_key(smoke.compile().worlds[0]))
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("world cache")]
+    assert "1 invalid (re-simulated; see warnings) [" in line
+    assert line.endswith(" x1]")
 
 
 def test_campaign_run_bad_spec_is_a_clean_error(tmp_path, capsys):

@@ -84,12 +84,12 @@ def test_replicas_actually_vary():
 def test_world_cache_replays_summaries(tmp_path):
     spec = EnsembleSpec(n_replicas=2, scenarios=(scenario("price-war"),), **SMOKE)
     cold = EnsembleRunner(spec, cache_dir=str(tmp_path)).run()
-    assert cold.world_cache_hits == 0
-    assert cold.world_cache_misses == 4
+    assert cold.world_cache.hits == 0
+    assert cold.world_cache.misses == 4
 
     warm = EnsembleRunner(spec, cache_dir=str(tmp_path)).run()
-    assert warm.world_cache_hits == 4
-    assert warm.world_cache_misses == 0
+    assert warm.world_cache.hits == 4
+    assert warm.world_cache.misses == 0
     # The replay folds to the same bytes as the fresh run (the cache
     # counters themselves are the only fields allowed to differ).
     assert warm.render() == cold.render()
@@ -121,14 +121,14 @@ def test_world_cache_corruption_resimulates_silently(tmp_path):
     )
     repaired = EnsembleRunner(spec, cache_dir=str(tmp_path)).run()
     assert repaired.render() == cold.render()
-    assert repaired.world_cache_misses == 2
+    assert repaired.world_cache.misses == 2
 
 
 def test_uncached_run_reports_no_phantom_cache_traffic():
     spec = EnsembleSpec(n_replicas=2, **SMOKE)
     result = EnsembleRunner(spec).run()
-    assert result.world_cache_hits == 0
-    assert result.world_cache_misses == 0
+    assert result.world_cache.hits == 0
+    assert result.world_cache.misses == 0
     assert result.to_json_dict()["world_cache"] == {
         "hits": 0,
         "misses": 0,
@@ -142,8 +142,8 @@ def test_world_cache_is_replica_aware(tmp_path):
     # One more replica: replica 0 replays, replica 1 executes.
     grown = EnsembleRunner(EnsembleSpec(n_replicas=2, **SMOKE),
                            cache_dir=str(tmp_path)).run()
-    assert grown.world_cache_hits == 1
-    assert grown.world_cache_misses == 1
+    assert grown.world_cache.hits == 1
+    assert grown.world_cache.misses == 1
 
 
 def test_scenario_distributions_differ_from_baseline(smoke_result):

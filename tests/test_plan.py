@@ -244,14 +244,14 @@ def test_malformed_run_cache_entry_warns_and_counts(tmp_path, caplog):
         iterations=2, seed=0,
     )
     cold = StudyRunner(config, cache_dir=str(tmp_path)).run()
-    assert cold.cache_invalid == 0
+    assert cold.cache.invalid == 0
     # Corrupt every entry (run-level and cell-level alike).
     for entry in tmp_path.glob("*/*.json"):
         entry.write_text("{truncated")
     with caplog.at_level("WARNING", logger="repro.sim.cache"):
         warm = StudyRunner(config, cache_dir=str(tmp_path)).run()
     assert warm.store.to_csv() == cold.store.to_csv()
-    assert warm.cache_invalid > 0
+    assert warm.cache.invalid > 0
     assert any("re-simulating" in r.message for r in caplog.records)
 
 
@@ -264,7 +264,7 @@ def test_malformed_world_summary_warns_and_counts(tmp_path, caplog):
     )
     runner = EnsembleRunner(spec, cache_dir=str(tmp_path))
     cold = runner.run()
-    assert cold.world_cache_invalid == 0
+    assert cold.world_cache.invalid == 0
     keys = [runner._world_key(world) for world in runner._plans()]
     paths = [RunCache(tmp_path).path(key) for key in keys]
     paths[0].write_text("{truncated")           # non-JSON corruption
@@ -272,6 +272,6 @@ def test_malformed_world_summary_warns_and_counts(tmp_path, caplog):
     with caplog.at_level("WARNING", logger="repro.sim.cache"):
         repaired = EnsembleRunner(spec, cache_dir=str(tmp_path)).run()
     assert repaired.render() == cold.render()
-    assert repaired.world_cache_invalid == 2
+    assert repaired.world_cache.invalid == 2
     messages = [r.message for r in caplog.records]
     assert sum("re-simulating" in m for m in messages) >= 2

@@ -218,12 +218,12 @@ def test_incremental_sweep_is_byte_identical_across_worker_counts(tmp_path):
         1 for scn in scns for cloud in CLOUD_ENVS if _touched(scn, cloud)
     )
     for inc in (inc1, inc4):
-        assert inc.reuse is not None
-        assert inc.reuse.planned_dirty == expected_dirty
-        assert inc.reuse.attached == inc.reuse.planned_reusable
-        assert inc.reuse.executed == inc.reuse.planned_dirty
-        assert inc.reuse.invalid == 0
-    assert inc1.reuse.to_dict() == inc4.reuse.to_dict()
+        assert inc.stats.reuse is not None
+        assert inc.stats.reuse.planned_dirty == expected_dirty
+        assert inc.stats.reuse.attached == inc.stats.reuse.planned_reusable
+        assert inc.stats.reuse.executed == inc.stats.reuse.planned_dirty
+        assert inc.stats.reuse.invalid == 0
+    assert inc1.stats.reuse.to_dict() == inc4.stats.reuse.to_dict()
 
 
 def test_empty_diff_plan_attaches_every_cell(tmp_path):
@@ -237,8 +237,8 @@ def test_empty_diff_plan_attaches_every_cell(tmp_path):
     executor = PlanExecutor(plan, incremental=True, baseline=plan)
     [(_, rerun)] = executor.run()
     assert executor.diff.n_dirty == 0
-    assert executor.reuse.attached == plan.n_shards
-    assert executor.reuse.executed == 0
+    assert executor.stats.reuse.attached == plan.n_shards
+    assert executor.stats.reuse.executed == 0
     assert rerun.store.to_csv() == scratch.store.to_csv()
     assert rerun.spend_by_cloud == scratch.spend_by_cloud
 
@@ -336,7 +336,7 @@ def test_mutating_one_field_resimulates_exactly_the_touched_cells(
         # reports zero run-level misses; only genuine re-simulation
         # misses — so the miss set *is* the invalidation set.
         resimulated |= {
-            ENVIRONMENTS[r.env_id].cloud for r in results if r.cache_misses > 0
+            ENVIRONMENTS[r.env_id].cloud for r in results if r.cache.misses > 0
         }
         merged = merge_shard_results(results)
     assert resimulated == expected
@@ -369,10 +369,10 @@ def test_malformed_cell_entries_surface_and_reexecute(tmp_path, corruption):
         path.write_text(json.dumps({"nope": 1}))  # valid JSON, wrong schema
     executor = PlanExecutor(variant, incremental=True, baseline=base_plan)
     [(_, merged)] = executor.run()
-    assert executor.reuse.invalid >= 1
-    assert executor.reuse.planned_reusable == 3
-    assert executor.reuse.attached == 2  # g and p still attach
-    assert executor.reuse.executed == 2  # az (dirty) + aws (degraded)
+    assert executor.stats.reuse.invalid >= 1
+    assert executor.stats.reuse.planned_reusable == 3
+    assert executor.stats.reuse.attached == 2  # g and p still attach
+    assert executor.stats.reuse.executed == 2  # az (dirty) + aws (degraded)
     [(_, fresh)] = PlanExecutor(compile_study(_config(), scenario=scn)).run()
     assert merged.store.to_csv() == fresh.store.to_csv()
 
@@ -408,8 +408,8 @@ def test_sweep_surfaces_invalid_cell_entries_in_its_reuse_counter(
     result = ScenarioSweep(
         _config(), [scn], cache_dir=cache_dir, incremental=True
     ).run()
-    assert result.reuse is not None
-    assert result.reuse.invalid >= 1
+    assert result.stats.reuse is not None
+    assert result.stats.reuse.invalid >= 1
     assert result.to_json_dict()["cell_reuse"]["invalid"] >= 1
     # The degraded cell re-executed; the dataset is still correct.
     scratch = ScenarioSweep(_config(), [scn]).run()
@@ -441,7 +441,7 @@ def test_ensemble_surfaces_broken_world_summaries(tmp_path, corruption):
             json.dumps({"v": 1, "cells": "zap", "spend": 1.0, "incidents": 0})
         )
     second = runner.run()
-    assert second.world_cache_invalid >= 1
+    assert second.world_cache.invalid >= 1
     assert second.to_json_dict()["world_cache"]["invalid"] >= 1
     # The broken world re-executed (through the warm run-level cache)
     # and folded to the exact same distributions.
@@ -466,10 +466,10 @@ def test_incremental_ensemble_matches_from_scratch(tmp_path):
     )
     scratch = EnsembleRunner(spec).run()
     inc = EnsembleRunner(spec, cache_dir=str(tmp_path / "c"), incremental=True).run()
-    assert inc.reuse is not None
+    assert inc.stats.reuse is not None
     # Both az-spike replicas attach their untouched aws cell.
-    assert inc.reuse.attached == 2
-    assert inc.reuse.invalid == 0
+    assert inc.stats.reuse.attached == 2
+    assert inc.stats.reuse.invalid == 0
     a, b = scratch.to_json_dict(), inc.to_json_dict()
     a.pop("world_cache"), b.pop("world_cache"), b.pop("cell_reuse")
     assert a == b

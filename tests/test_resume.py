@@ -73,8 +73,8 @@ def test_interrupted_study_resumes_byte_identically(tmp_path, study_csv):
 
     resumed = StudyRunner(_STUDY, cache_dir=cache, resume=True).run()
     assert resumed.store.to_csv() == study_csv
-    assert resumed.faults is not None
-    assert resumed.faults.resumed >= 4
+    assert resumed.stats.faults is not None
+    assert resumed.stats.faults.resumed >= 4
 
 
 def test_resume_of_a_finished_study_attaches_everything(tmp_path, study_csv):
@@ -82,7 +82,7 @@ def test_resume_of_a_finished_study_attaches_everything(tmp_path, study_csv):
     StudyRunner(_STUDY, cache_dir=cache).run()
     resumed = StudyRunner(_STUDY, cache_dir=cache, resume=True).run()
     assert resumed.store.to_csv() == study_csv
-    assert resumed.faults.resumed == len(_STUDY.env_ids) * len(_STUDY.sizes)
+    assert resumed.stats.faults.resumed == len(_STUDY.env_ids) * len(_STUDY.sizes)
 
 
 def test_resume_without_cache_is_a_configuration_error():
@@ -147,9 +147,9 @@ def test_interrupted_ensemble_resumes_byte_identically(
     )
     result = resumed_runner.run()
     assert result.distribution_table().to_csv() == ensemble_csv
-    assert result.faults is not None
-    assert result.faults.resumed >= 1
-    assert result.world_cache_hits >= 16
+    assert result.stats.faults is not None
+    assert result.stats.faults.resumed >= 1
+    assert result.world_cache.hits >= 16
 
 
 def test_ensemble_resume_requires_cache():
@@ -201,9 +201,9 @@ def test_interrupted_incremental_sweep_resumes_byte_identically(tmp_path):
         _SWEEP, [_AZ_SPIKE], cache_dir=cache, incremental=True, resume=True
     ).run()
     assert resumed.delta_table().to_csv() == reference
-    assert resumed.faults is not None
-    assert resumed.faults.resumed >= 1
+    assert resumed.stats.faults is not None
+    assert resumed.stats.faults.resumed >= 1
     # Past the baseline phase's cells, the diff-aware phase re-attached
     # journaled dirty cells too.
-    assert resumed.faults.resumed > len(base_plan.shards)
-    assert resumed.reuse.attached > len(reusable)
+    assert resumed.stats.faults.resumed > len(base_plan.shards)
+    assert resumed.stats.reuse.attached > len(reusable)

@@ -246,9 +246,9 @@ def test_touched_cells_never_share_cache_entries_with_the_baseline(tmp_path):
     scn = scenario("spot-aws")  # touches the cell's own cloud
 
     base_cold = StudyRunner(config, cache_dir=cache_dir).run()
-    assert base_cold.cache_misses > 0 and base_cold.cache_hits == 0
+    assert base_cold.cache.misses > 0 and base_cold.cache.hits == 0
     scn_cold = StudyRunner(config, cache_dir=cache_dir, scenario=scn).run()
-    assert scn_cold.cache_hits == 0  # touched cell: different keys
+    assert scn_cold.cache.hits == 0  # touched cell: different keys
 
     base_warm = StudyRunner(config, cache_dir=cache_dir).run()
     scn_warm = StudyRunner(config, cache_dir=cache_dir, scenario=scn).run()
@@ -269,7 +269,7 @@ def test_untouched_cells_reuse_baseline_cache_entries_byte_identically(tmp_path)
 
     base_cold = StudyRunner(config, cache_dir=cache_dir).run()
     scn_warm = StudyRunner(config, cache_dir=cache_dir, scenario=scn).run()
-    assert scn_warm.cache_misses == 0  # every probe hits baseline entries
+    assert scn_warm.cache.misses == 0  # every probe hits baseline entries
     assert scn_warm.store.to_csv() == base_cold.store.to_csv()
 
 
@@ -284,7 +284,7 @@ def test_sweep_replays_from_cache(tmp_path):
     warm = ScenarioSweep(config, scns, cache_dir=cache_dir).run()
     for sid in cold.reports:
         assert warm.reports[sid].store.to_csv() == cold.reports[sid].store.to_csv()
-        assert warm.reports[sid].cache_hits == warm.reports[sid].datasets
+        assert warm.reports[sid].cache.hits == warm.reports[sid].datasets
 
 
 # ------------------------------------------------------------ sweep hygiene

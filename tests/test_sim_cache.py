@@ -159,15 +159,15 @@ def test_cached_study_identical_to_uncached(tmp_path):
     assert warm.store.to_csv() == plain.store.to_csv()
     assert warm.spend_by_cloud == plain.spend_by_cloud
     # Stats count *runs* only; the cell-level lookups are not folded in.
-    assert cold.cache_misses == cold.datasets and cold.cache_hits == 0
-    assert warm.cache_hits == warm.datasets and warm.cache_misses == 0
+    assert cold.cache.misses == cold.datasets and cold.cache.hits == 0
+    assert warm.cache.hits == warm.datasets and warm.cache.misses == 0
 
 
 def test_cached_study_seed_change_is_all_misses(tmp_path):
     StudyRunner(StudyConfig.smoke(seed=4), cache_dir=str(tmp_path)).run()
     other = StudyRunner(StudyConfig.smoke(seed=5), cache_dir=str(tmp_path)).run()
-    assert other.cache_hits == 0
-    assert other.cache_misses > 0
+    assert other.cache.hits == 0
+    assert other.cache.misses > 0
 
 
 # ------------------------------------------------------------ batched I/O

@@ -419,9 +419,9 @@ def test_invalid_reasons_reported_by_study(tmp_path):
     for victim in cache_dir.glob("*/*.json"):
         victim.write_text("{ not json")
     report = StudyRunner(config, cache_dir=str(cache_dir)).run()
-    assert report.cache_invalid >= 1
-    assert report.cache_invalid_reasons
-    assert sum(report.cache_invalid_reasons.values()) == report.cache_invalid
+    assert report.cache.invalid >= 1
+    assert report.cache.invalid_reasons
+    assert sum(report.cache.invalid_reasons.values()) == report.cache.invalid
 
 
 # -- the registry lint --------------------------------------------------------

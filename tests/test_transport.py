@@ -161,29 +161,29 @@ def _study(workers: int):
 def test_study_byte_identical_across_transports(monkeypatch):
     reference = _study(1).store.to_csv()
     shm = _study(4)
-    assert shm.transport.mode == "shm"
+    assert shm.stats.transport.mode == "shm"
     # Force the pickle path through the platform check the executor reads.
     monkeypatch.setattr("repro.parallel.transport.shm_available", lambda: False)
     pickled = _study(4)
-    assert pickled.transport.mode == "pickle"
+    assert pickled.stats.transport.mode == "pickle"
     assert pickled.store.to_csv() == reference == shm.store.to_csv()
 
 
 def test_study_reports_shm_transport():
     report = _study(2)
-    assert report.transport is not None
-    assert report.transport.mode == "shm"
-    assert report.transport.blocks > 0
-    assert report.transport.bytes > 0
-    assert report.transport.copied_bytes == 0
+    assert report.stats.transport is not None
+    assert report.stats.transport.mode == "shm"
+    assert report.stats.transport.blocks > 0
+    assert report.stats.transport.bytes > 0
+    assert report.stats.transport.copied_bytes == 0
 
 
 def test_study_inline_run_reports_inline():
     report = _study(1)
     # workers=1 never crosses a process boundary: no packing happens.
-    assert report.transport is not None
-    assert report.transport.mode == "inline"
-    assert report.transport.blocks == 0
+    assert report.stats.transport is not None
+    assert report.stats.transport.mode == "inline"
+    assert report.stats.transport.blocks == 0
 
 
 def _build_marked_store(n: int) -> ResultStore:
