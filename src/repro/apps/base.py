@@ -89,7 +89,7 @@ class RunContext:
     #: (:meth:`ExecutionEngine.resolve_group`) shares one model so
     #: distinct collectives price once per group
     comm_model: CollectiveModel | None = field(default=None, repr=False, compare=False)
-    #: group-scoped memo for :meth:`once`; a batched group shares one
+    #: group-scoped memo for :meth:`once`; a block group shares one
     #: dict across its iterations, a standalone context gets its own
     group_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -100,7 +100,7 @@ class RunContext:
         return self.comm_model
 
     def once(self, key: tuple, fn):
-        """Compute a group-deterministic value once per batched group.
+        """Compute a group-deterministic value once per block group.
 
         ``fn`` must be pure in the group coordinates (env, app, scale,
         options) — in particular it must never touch :attr:`rng`, which
@@ -141,7 +141,7 @@ class RunContext:
 
 @dataclass
 class AppBlockResult:
-    """Columnar outcome of every iteration of one batched group.
+    """Columnar outcome of every iteration of one block group.
 
     Parallel arrays over the block's iterations; scalar fields mean
     "the same for every iteration" (the common case — ported apps fail

@@ -53,7 +53,7 @@ class LAMMPS(AppModel):
     def _base(self, ctx: RunContext):
         def _compute():
             # Everything before the noise draw is pure in the group
-            # coordinates, so a batched group computes it once.
+            # coordinates, so a block group computes it once.
             atoms = ATOMS_GPU if ctx.env.is_gpu else ATOMS_CPU
             atoms_per_rank = atoms / ctx.ranks
 

@@ -7,7 +7,7 @@ the study's 4 sizes):
 * **seed** — the original per-iteration path: one :meth:`ExecutionEngine.run`
   call per record, row-based fold (``ResultFrame.from_records``);
 * **block** — the array-native path: :meth:`ExecutionEngine.run_block`
-  (batched keyed RNG, columnar app physics, ``append_block``), zero-copy
+  (block keyed RNG, columnar app physics, ``append_block``), zero-copy
   fold.
 
 Both pipelines produce byte-identical records and aggregates — the

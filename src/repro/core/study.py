@@ -22,7 +22,7 @@ and executed through :mod:`repro.parallel`: serially for ``workers=1``,
 across a process pool otherwise, with per-cell keyed seeds so any worker
 count produces a byte-identical dataset.  An optional content-addressed
 run cache (:mod:`repro.sim.cache`) lets repeated campaigns skip
-simulation for runs already recorded.
+provisioning and simulation for cells already recorded.
 
 A full-size study produces tens of thousands of records (the paper:
 25,541); the default config is sized for CI while
@@ -92,7 +92,7 @@ class StudyReport:
     containers_built: int
     containers_failed: int
     clusters_created: int
-    #: run-level cache counters (malformed entries are each
+    #: cache counters in records (malformed entries are each
     #: re-simulated, each leaving a one-line warning — see
     #: :mod:`repro.sim.cache`)
     cache: CacheStats = field(default_factory=CacheStats)

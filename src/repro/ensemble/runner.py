@@ -19,11 +19,11 @@ cell) before the next world's records exist.  State is O(cells), never
 O(worlds × runs).
 
 **Warm re-runs are nearly free.**  Cache keys are seed- and
-scenario-aware at all three levels: run and cell entries
-(:mod:`repro.sim.cache`) replay individual simulations, and a new
-world-level entry (:func:`~repro.sim.cache.world_key`) stores each
-world's *folded summary* so a repeat ensemble skips shard execution and
-the fold entirely.
+scenario-aware at both levels: cell entries (:mod:`repro.sim.cache`)
+replay whole (environment, size) cells, and a world-level entry
+(:func:`~repro.sim.cache.world_key`) stores each world's *folded
+summary* so a repeat ensemble skips shard execution and the fold
+entirely.
 
 Container builds contribute incidents but no run records and do not
 vary across worlds, so the ensemble (a distribution engine over
@@ -41,31 +41,19 @@ from repro.core.results import ResultStore
 from repro.ensemble.frame import ResultFrame
 from repro.ensemble.spec import EnsembleSpec
 from repro.ensemble.stats import CellStats, StreamAccumulator
-from repro.parallel.shard import ShardResult
+from repro.parallel.shard import ShardResult, engine_options
 from repro.parallel.stats import CacheStats, ExecutionStats, ReuseStats
 from repro.plan import PlanExecutor, PlanWorld, RunPlan, compile_ensemble
 from repro.plan.executor import require_cache_dir
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import active
 from repro.sim.cache import RunCache, world_key
-from repro.sim.execution import ExecutionEngine
 from repro.telemetry import span
 
 #: world-summary payload schema; bump on shape changes so stale
 #: summaries miss instead of resurfacing
 WORLD_SUMMARY_VERSION = 1
 
-
-def _engine_options() -> dict:
-    """The engine options every ensemble shard runs under.
-
-    Shards build their engines with defaults
-    (:func:`~repro.parallel.shard.execute_shard`), so the world key
-    derives the options from a default engine — the same way the
-    cell-level key derives them from the executing engine — and cannot
-    drift if the default ever changes.
-    """
-    return {"azure_ucx_tuned": ExecutionEngine().azure_ucx_tuned}
 
 #: a cell's identity across worlds
 CellKey = tuple[str, str, str, int]  # (scenario_id, env, app, scale)
@@ -218,7 +206,7 @@ class EnsembleRunner:
             apps=tuple(config.apps),
             sizes=config.sizes,
             iterations=config.iterations,
-            engine_options=_engine_options(),
+            engine_options=engine_options(),
             scenario=scn.digest() if scn is not None else None,
         )
 

@@ -145,7 +145,7 @@ def mc_transport_block(
     with per-replica tallies recovered by ``bincount`` over a replica
     label column.  One shared stream drives the whole block, so
     ``replicas=1`` reproduces ``mc_transport(seed=seed)`` exactly;
-    larger blocks are their own (equally valid) batched experiment, not
+    larger blocks are their own (equally valid) vectorized experiment, not
     a draw-for-draw replay of looped single-replica calls.
     """
     if n_particles < 1:

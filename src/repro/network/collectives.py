@@ -159,7 +159,7 @@ class CollectiveModel:
 
         ``compute(fabric) -> float`` must be deterministic in the fabric
         and the key; app models use this for per-message-size base times
-        that never change across a batched group's iterations.
+        that never change across a block group's iterations.
         """
         return self._cached(key, compute)
 

@@ -94,7 +94,7 @@ def hookup_block(
     iterations=None,
     rng_block=None,
 ) -> np.ndarray:
-    """Hookup times for a whole batched group's iterations at once.
+    """Hookup times for a whole block group's iterations at once.
 
     ``iterations`` is a count or a sequence of iteration numbers; entry
     ``j`` is bit-identical to ``hookup_time(..., iteration=iterations[j])``

@@ -27,7 +27,7 @@ class MergedStudy:
     incidents: dict[str, list[Incident]] = field(default_factory=dict)
     spend_by_cloud: dict[str, float] = field(default_factory=dict)
     clusters_created: int = 0
-    #: run-level cache counters, summed across shards
+    #: per-record cache counters, summed across shards
     cache: CacheStats = field(default_factory=CacheStats)
 
 

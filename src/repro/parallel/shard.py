@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cloud.providers import get_provider
 from repro.core.incidents import Incident, incident_from_fault
@@ -48,7 +48,7 @@ from repro.scenarios.spec import Scenario, active, footprint_digest
 from repro.scheduler.queueing import OnPremQueueModel
 from repro.sim.cache import RunCache, decode_record, encode_record, shard_key
 from repro.sim.execution import ExecutionEngine, HookupCutoff
-from repro.sim.run_result import RunRecord
+from repro.sim.run_result import RunRecord, RunState
 from repro.telemetry import Tracer, current_tracer, span, use_tracer
 
 
@@ -111,7 +111,8 @@ class ShardResult:
     incidents: list[Incident] = field(default_factory=list)
     spend_by_cloud: dict[str, float] = field(default_factory=dict)
     clusters_created: int = 0
-    #: run-level cache counters for this cell (zeros when uncached)
+    #: cache counters for this cell, in records: an attached cell's are
+    #: all hits, an executed cell's all misses (zeros when uncached)
     cache: CacheStats = field(default_factory=CacheStats)
     #: which process executed the cell and in what dispatch order the
     #: pool handed it out (-1 = never went through the pool); pure
@@ -214,7 +215,17 @@ def _deploy_kubernetes(env: Environment, cluster) -> float:
     return kube.setup_seconds + mc.bringup_seconds
 
 
-def shard_summary_key(shard: StudyShard, *, azure_ucx_tuned: bool = True) -> str:
+def engine_options() -> dict:
+    """The engine options every shard runs under, as cache keys embed them.
+
+    :func:`execute_shard` builds its engine with defaults, so the cell
+    and world keys read the options off the engine's defaults and
+    cannot drift if a default ever changes.
+    """
+    return {"azure_ucx_tuned": ExecutionEngine.azure_ucx_tuned}
+
+
+def shard_summary_key(shard: StudyShard) -> str:
     """The cell-level cache key for one shard's folded summary.
 
     The scenario contribution is the shard's per-cell overlay
@@ -231,17 +242,9 @@ def shard_summary_key(shard: StudyShard, *, azure_ucx_tuned: bool = True) -> str
         scale=shard.scale,
         apps=shard.apps,
         iterations=shard.iterations,
-        engine_options={"azure_ucx_tuned": azure_ucx_tuned},
+        engine_options=engine_options(),
         scenario=footprint_digest(shard.scenario, cloud),
     )
-
-
-def _shard_cache_key(shard: StudyShard, engine: ExecutionEngine) -> str:
-    # Derive the engine options from the engine actually executing the
-    # cell so the cell-level key invalidates exactly when run-level keys
-    # do.  The engine's scenario is the shard's own (execute_shard built
-    # it that way), so the summary key *is* the cell key.
-    return shard_summary_key(shard, azure_ucx_tuned=engine.azure_ucx_tuned)
 
 
 def attach_shard(shard: StudyShard, cache: RunCache) -> ShardResult | None:
@@ -312,10 +315,9 @@ def _decode_shard(shard: StudyShard, data: dict) -> ShardResult:
 def execute_shard(shard: StudyShard) -> ShardResult:
     """Run one cell start to finish; pure in (shard) → (result).
 
-    With a cache directory configured, the cache works at two levels:
-    the engine consults the run-level cache per record, and the whole
-    cell is stored under a :func:`~repro.sim.cache.shard_key` so a
-    repeat campaign skips provisioning and Kubernetes bring-up too.
+    With a cache directory configured, the whole cell is stored under
+    a :func:`~repro.sim.cache.shard_key` so a repeat campaign skips
+    provisioning, Kubernetes bring-up and simulation.
 
     When the shard is dispatched with ``trace=True`` and no tracer is
     active (i.e. in a worker process), a local
@@ -356,9 +358,9 @@ def _execute_shard_body(shard: StudyShard) -> ShardResult:
     env = ENVIRONMENTS[shard.env_id]
     scn = active(shard.scenario)
     cache = RunCache(shard.cache_dir) if shard.cache_dir else None
-    engine = ExecutionEngine(seed=shard.seed, cache=cache, scenario=scn)
+    engine = ExecutionEngine(seed=shard.seed, scenario=scn)
     if cache is not None:
-        cell_key = _shard_cache_key(shard, engine)
+        cell_key = shard_summary_key(shard)
         cached = cache.get_json(cell_key)
         if cached is not None:
             try:
@@ -366,18 +368,6 @@ def _execute_shard_body(shard: StudyShard) -> ShardResult:
             except (KeyError, TypeError, ValueError) as exc:
                 # Corrupt or stale cell entry: warn once and re-execute.
                 cache.note_invalid(cell_key, f"study-cell entry malformed: {exc}")
-        # The cell-level lookup must not leak into the run-level stats
-        # (the invalid counter keeps accumulating — it is the trace).
-        cache.hits = 0
-        cache.misses = 0
-    # One run-cache envelope per cell: every run-level probe and store
-    # below goes through a single batched read/write instead of a file
-    # per run (engine.cache_scope is a no-op without a cache).
-    with engine.cache_scope(env, shard.scale):
-        return _execute_shard_cell(shard, env, scn, cache, engine)
-
-
-def _execute_shard_cell(shard, env, scn, cache, engine) -> ShardResult:
     result = ShardResult(
         index=shard.index, env_id=shard.env_id, scale=shard.scale, world=shard.world
     )
@@ -386,7 +376,7 @@ def _execute_shard_cell(shard, env, scn, cache, engine) -> ShardResult:
         # Record skips so the dataset shows the missing environment.
         for app_name in shard.apps:
             result.store.add(engine.run(env, app_name, shard.scale, iteration=0))
-        _finish_shard(shard, result, cache, engine)
+        _finish_shard(shard, result, cache)
         return result
 
     nodes = env.nodes_for(shard.scale)
@@ -424,7 +414,7 @@ def _execute_shard_cell(shard, env, scn, cache, engine) -> ShardResult:
                 # outright; the counterfactual outcome is an abandoned cell
                 # (skip records + an effort incident), not a crashed study.
                 _abandon_cell_for_quota(shard, result, engine, env, itype.name, scn)
-                _finish_shard(shard, result, cache, engine)
+                _finish_shard(shard, result, cache)
                 return result
             if (
                 scn is not None
@@ -528,7 +518,7 @@ def _execute_shard_cell(shard, env, scn, cache, engine) -> ShardResult:
                         source=f"scenario:{scn.scenario_id}:billing-lag",
                     )
                 )
-    _finish_shard(shard, result, cache, engine)
+    _finish_shard(shard, result, cache)
     return result
 
 
@@ -560,15 +550,18 @@ def _abandon_cell_for_quota(
 
 
 def _finish_shard(
-    shard: StudyShard,
-    result: ShardResult,
-    cache: RunCache | None,
-    engine: ExecutionEngine,
+    shard: StudyShard, result: ShardResult, cache: RunCache | None
 ) -> None:
     if cache is None:
         return
-    result.cache = CacheStats.of(cache)
-    cell_key = _shard_cache_key(shard, engine)
+    # An executed cell counts in records, not probes: every record it
+    # did not skip was simulated, a miss.  The invalid counters keep any
+    # malformed cell entry met on the way in.
+    skipped = result.store.counts_by_state().get(RunState.SKIPPED, 0)
+    result.cache = replace(
+        CacheStats.of(cache), hits=0, misses=len(result.store) - skipped
+    )
+    cell_key = shard_summary_key(shard)
     cache.put_json(cell_key, _encode_shard(result))
     if shard.chaos is not None:
         from repro.chaos import corrupt_after_store

@@ -4,7 +4,7 @@
 incremental reuse.  Each :class:`~repro.plan.executor.PlanExecutor` owns
 one, and every report folds its executors' stats with
 :meth:`ExecutionStats.add`.  :class:`CacheStats` stays outside it: the
-cache level differs per report (run entries for a study world, world
+cache level differs per report (cell records for a study world, world
 summaries for an ensemble), so folding them together would sum unlike
 things.  None of it feeds results: datasets are byte-identical whatever
 the accounting says.

@@ -11,12 +11,12 @@ Identical key paths always yield identical streams, independent of the
 order in which components are simulated, which keeps results stable when
 experiments are run individually or as a full study.
 
-The batched layer
------------------
+The block layer
+---------------
 
 Constructing ``Generator(PCG64(SeedSequence(...)))`` costs tens of
 microseconds — twice per simulated run on the hot path, which dominated
-the batched pipeline.  :func:`stream_block` removes that cost for the
+the block pipeline.  :func:`stream_block` removes that cost for the
 iteration axis of a group: it reproduces NumPy's seeding pipeline with
 vectorized integer arithmetic (the :class:`~numpy.random.SeedSequence`
 entropy-pool hash over all iterations at once, then the PCG64 seeding
@@ -82,7 +82,7 @@ def lognormal_jitter(rng: np.random.Generator, sigma: float) -> float:
     return float(rng.lognormal(mean=0.0, sigma=sigma))
 
 
-# -- the batched layer --------------------------------------------------------
+# -- the block layer ----------------------------------------------------------
 
 #: SeedSequence entropy-pool hash constants (numpy/random/bit_generator).
 _XSHIFT = np.uint32(16)
@@ -241,7 +241,7 @@ def _seed_states(seed: int, key_ints: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 class StreamBlock:
-    """The keyed per-iteration streams of one batched group.
+    """The keyed per-iteration streams of one block group.
 
     Stream ``j`` is exactly ``stream(seed, *key, iterations[j])``; the
     block seeds all of them in one vectorized pass (lazily, on first
@@ -447,7 +447,7 @@ def co_seed(*blocks: StreamBlock) -> None:
 
 
 def stream_block(seed: int, *key: Any, iterations: int | Sequence[int]) -> StreamBlock:
-    """The batched form of :func:`stream` over a group's iteration axis.
+    """The block form of :func:`stream` over a group's iteration axis.
 
     ``stream_block(seed, *key, iterations=n)`` covers iterations
     ``0..n-1``; passing a sequence covers exactly those iteration

@@ -116,7 +116,7 @@ def preemption_block(
     iterations,
     durations: np.ndarray,
 ) -> np.ndarray:
-    """Keyed preemption draws for a whole batched group at once.
+    """Keyed preemption draws for a whole block group at once.
 
     Returns one ``at_fraction`` per iteration, NaN for survivors —
     entry ``j`` matches :func:`draw_preemption` for

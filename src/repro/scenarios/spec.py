@@ -409,7 +409,8 @@ class Scenario:
 
         The id participates (spot preemption draws are keyed on it), the
         free-text description does not.  The run cache embeds this in
-        run- and cell-level keys so two worlds never share entries.
+        world-level keys (cell keys embed the per-cell
+        :meth:`footprint_digest`) so two worlds never share entries.
         """
         payload = self.to_dict()
         payload.pop("description", None)
@@ -435,7 +436,7 @@ def footprint_digest(scenario: Scenario | None, cloud: str) -> str | None:
 
     ``None`` both for the baseline world and for a scenario that cannot
     touch cells on ``cloud`` — which is exactly what lets an untouched
-    cell of a what-if world share its run/cell cache entries with the
+    cell of a what-if world share its cell cache entry with the
     baseline (:mod:`repro.plan.diff` proves the reuse sound).
     """
     scn = active(scenario)

@@ -1,7 +1,7 @@
 """Execution engine: runs application models on environments."""
 
-from repro.sim.cache import RunCache, run_key
+from repro.sim.cache import RunCache
 from repro.sim.execution import ExecutionEngine
 from repro.sim.run_result import RunRecord, RunState
 
-__all__ = ["ExecutionEngine", "RunCache", "RunRecord", "RunState", "run_key"]
+__all__ = ["ExecutionEngine", "RunCache", "RunRecord", "RunState"]

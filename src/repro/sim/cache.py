@@ -1,39 +1,41 @@
-"""Content-addressed run cache: skip simulation for runs already done.
+"""Content-addressed result cache: skip cells and worlds already done.
 
-A full-size campaign re-executes the same ``(seed, environment, app,
-scale, iteration)`` points every time a table or figure is re-rendered.
-Since the engine is deterministic given those coordinates (plus the
-engine options that shape the simulation), a run record can be cached
-under a content hash of exactly that key and replayed on the next
-request — re-renders and repeated experiments then skip simulation
-entirely.
+A full-size campaign re-executes the same (environment, size) cells
+every time a table or figure is re-rendered.  Since a cell is
+deterministic given its coordinates (seed, environment, size, apps,
+iterations, engine options, scenario footprint), its folded result can
+be cached under a content hash of exactly that key and replayed on the
+next request — re-renders, incremental sweeps and resumed campaigns
+then skip provisioning and simulation entirely.  Two kinds of entry
+live here: one per study cell (:func:`shard_key`) and one per ensemble
+replica-world summary (:func:`world_key`).
 
-The cache is a plain directory of JSON files, one per record, fanned out
+The cache is a plain directory of JSON files, one per entry, fanned out
 by hash prefix so large campaigns don't produce a single huge directory.
 Keys incorporate :data:`CACHE_VERSION`; bump it whenever the record
 schema or the simulation semantics change so stale entries miss instead
 of resurfacing.  Corrupt or unreadable entries are treated as misses —
 the cache is an accelerator, never a source of truth.
 
-Records round-trip through JSON, which canonicalizes container types:
-a tuple in ``RunRecord.extra`` or ``phases`` (e.g. AMG's process
-topology) comes back as a list, and non-JSON values come back as their
-``str()``.  Every field the dataset CSV exports is preserved exactly
-(floats round-trip bit-for-bit), so cached and fresh campaigns produce
+Cell entries carry their run records through :func:`encode_record`,
+which canonicalizes container types through JSON: a tuple in
+``RunRecord.extra`` or ``phases`` (e.g. AMG's process topology) comes
+back as a list, and non-JSON values come back as their ``str()``.
+Every field the dataset CSV exports is preserved exactly (floats
+round-trip bit-for-bit), so cached and fresh campaigns produce
 identical artifacts — but code comparing whole records or relying on
 ``extra`` value *types* should not mix cached and fresh records.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
 import logging
 import os
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.sim.run_result import RunRecord, RunState
 from repro.telemetry import count as telemetry_count
@@ -70,131 +72,6 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-def run_key(
-    *,
-    seed: int,
-    env_id: str,
-    app: str,
-    scale: int,
-    iteration: int,
-    engine_options: Mapping[str, Any] | None = None,
-    scenario: str | None = None,
-) -> str:
-    """Content hash naming one deterministic run.
-
-    ``engine_options`` must include everything that changes the engine's
-    output beyond the coordinates — e.g. ``azure_ucx_tuned`` and the
-    per-run ``options`` dict — so a changed option is a cache miss, not
-    a stale hit.  ``scenario`` is the active scenario's digest
-    (:meth:`repro.scenarios.Scenario.digest`), or ``None`` for the
-    baseline world — an *empty* scenario keys identically to none.
-    """
-    payload = json.dumps(
-        {
-            "v": CACHE_VERSION,
-            "seed": seed,
-            "env": env_id,
-            "app": app,
-            "scale": scale,
-            "iteration": iteration,
-            "engine": _jsonable(dict(engine_options or {})),
-            "scenario": scenario,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
-
-
-def run_key_block(
-    *,
-    seed: int,
-    env_id: str,
-    app: str,
-    scale: int,
-    iterations,
-    engine_options: Mapping[str, Any] | None = None,
-    scenario: str | None = None,
-) -> list[str]:
-    """:func:`run_key` for a whole (env, app, size) group at once.
-
-    Only the iteration number varies inside a group, so the canonical
-    JSON payload is serialized **once** and the per-iteration digests
-    splice each iteration into the payload template — the key for
-    iteration ``i`` is byte-identical to ``run_key(..., iteration=i)``.
-    The split points come from diffing two rendered payloads (iteration
-    0 vs 1), so the template never mis-splits even if some option value
-    happens to contain ``"iteration"``.
-    """
-    fixed = dict(
-        seed=seed, env_id=env_id, app=app, scale=scale,
-        engine_options=engine_options, scenario=scenario,
-    )
-
-    def _payload(iteration: int) -> bytes:
-        return json.dumps(
-            {
-                "v": CACHE_VERSION,
-                "seed": fixed["seed"],
-                "env": fixed["env_id"],
-                "app": fixed["app"],
-                "scale": fixed["scale"],
-                "iteration": iteration,
-                "engine": _jsonable(dict(fixed["engine_options"] or {})),
-                "scenario": fixed["scenario"],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-
-    a, b = _payload(0), _payload(1)
-    lo = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-    hi = next(i for i, (x, y) in enumerate(zip(a[::-1], b[::-1])) if x != y)
-    prefix, suffix = a[:lo], a[len(a) - hi :]
-    blake2b = hashlib.blake2b
-    return [
-        blake2b(
-            prefix + str(int(i)).encode("ascii") + suffix, digest_size=16
-        ).hexdigest()
-        for i in iterations
-    ]
-
-
-def batch_key(
-    *,
-    seed: int,
-    env_id: str,
-    scale: int,
-    engine_options: Mapping[str, Any] | None = None,
-    scenario: str | None = None,
-) -> str:
-    """Content hash naming one cell's run-level *batch envelope*.
-
-    Deliberately coarser than :func:`run_key`: no app list, no iteration
-    count, no per-run options — every run of a ``(seed, env, scale,
-    scenario)`` cell lands in the same envelope regardless of which apps
-    or how many iterations produced it, so a re-run with a different
-    app roster or a longer iteration axis still finds its earlier runs
-    in one read.  The envelope's *entries* are keyed by full
-    :func:`run_key`, so coarse envelope addressing never conflates
-    distinct runs.
-    """
-    payload = json.dumps(
-        {
-            "v": CACHE_VERSION,
-            "kind": "run-batch",
-            "seed": seed,
-            "env": env_id,
-            "scale": scale,
-            "engine": _jsonable(dict(engine_options or {})),
-            "scenario": scenario,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
-
-
 def shard_key(
     *,
     seed: int,
@@ -210,8 +87,13 @@ def shard_key(
     A cell bundles every ``(seed, env, app, scale, iteration)`` run of a
     shard plus its provisioning by-products (incidents, spend, cluster
     count), all deterministic in these coordinates — so a cell-level hit
-    can skip cluster bring-up as well as simulation.  ``scenario`` is
-    the active scenario digest, as in :func:`run_key`.
+    can skip cluster bring-up as well as simulation.  ``engine_options``
+    must include everything that changes the engine's output beyond the
+    coordinates (e.g. ``azure_ucx_tuned``), so a changed option is a
+    miss, not a stale hit.  ``scenario`` is the active scenario's
+    per-cell footprint digest
+    (:func:`repro.scenarios.spec.footprint_digest`), or ``None`` for the
+    baseline world.
     """
     payload = json.dumps(
         {
@@ -243,14 +125,14 @@ def world_key(
 ) -> str:
     """Content hash naming one whole replica-world of an ensemble.
 
-    The third cache level (:mod:`repro.ensemble`): a world is every cell
+    The second cache level (:mod:`repro.ensemble`): a world is every cell
     of one campaign at one ``(seed, scenario)`` coordinate, and its
     *folded summary* (per-cell aggregates) is tiny compared to its
     records — a hit lets a warm ensemble re-run skip shard execution,
     record decoding, and the columnar fold entirely.  ``seed`` is the
     replica's own seed (``base_seed + replica``), so replica worlds
-    never collide; ``scenario`` is the active scenario digest, as in
-    :func:`run_key`.
+    never collide; ``scenario`` is the full active scenario digest (a
+    world aggregates every cell, so no per-cell footprint applies).
     """
     payload = json.dumps(
         {
@@ -284,31 +166,8 @@ def decode_record(data: dict[str, Any]) -> RunRecord:
     return RunRecord(**fields)
 
 
-class _CacheBatch:
-    """One open batch envelope: a read overlay plus buffered writes.
-
-    The envelope is a single JSON file holding ``{run_key: encoded
-    record}`` for a whole cell — one read primes the overlay, every
-    buffered :meth:`RunCache.put` lands in ``pending``, and closing the
-    batch merges overlay + pending back into **one** atomic write (and
-    one digest pass) instead of a file per run.
-    """
-
-    __slots__ = ("group_key", "level", "overlay", "pending")
-
-    def __init__(self, group_key: str, level: str, overlay: dict[str, Any]):
-        self.group_key = group_key
-        self.level = level
-        self.overlay = overlay
-        self.pending: dict[str, Any] = {}
-
-    def lookup(self, key: str) -> Any | None:
-        data = self.pending.get(key)
-        return data if data is not None else self.overlay.get(key)
-
-
 class RunCache:
-    """Directory-backed cache of simulated run records.
+    """Directory-backed cache of cell and world summaries.
 
     Safe for concurrent writers: entries are written to a temporary file
     and atomically renamed into place, and every worker of a sharded
@@ -328,18 +187,6 @@ class RunCache:
         #: :data:`INVALID_REASON_CAP` distinct labels (overflow folds
         #: into ``"other"``) so one corrupt directory cannot balloon it
         self.invalid_reasons: dict[str, int] = {}
-        #: payload bytes read on hits / written on puts
-        self.hit_bytes = 0
-        self.put_bytes = 0
-        #: envelope-granularity I/O counters (see :meth:`batched`);
-        #: deliberately separate from the per-record hits/misses above,
-        #: which keep counting at consumption time so batched and bare
-        #: engines report probe-for-probe identical stats
-        self.batch_hits = 0
-        self.batch_misses = 0
-        self.batch_puts = 0
-        #: open batch per level (``"run"``/``"cell"``/``"world"``)
-        self._batches: dict[str, _CacheBatch] = {}
 
     def note_invalid(self, key: str, reason: str) -> None:
         """Count one unusable entry and leave a one-line warning trace.
@@ -369,13 +216,10 @@ class RunCache:
     def get_json(self, key: str, *, level: str = "cell") -> Any | None:
         """The raw JSON payload for ``key``, or ``None`` on a miss.
 
-        ``level`` labels the telemetry counters only (``"run"``,
-        ``"cell"``, or ``"world"`` — whichever granularity the caller
-        probes at); it never affects lookup or storage.
+        ``level`` labels the telemetry counters only (``"cell"`` or
+        ``"world"`` — whichever granularity the caller probes at); it
+        never affects lookup or storage.
         """
-        return self._read(key, level)
-
-    def _read(self, key: str, level: str) -> Any | None:
         try:
             with open(self.path(key), "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -392,16 +236,12 @@ class RunCache:
             self.note_invalid(key, f"unreadable or corrupt JSON: {exc}")
             return None
         self.hits += 1
-        self.hit_bytes += len(text)
         telemetry_count(f"cache.{level}.hits")
         telemetry_count(f"cache.{level}.hit_bytes", len(text))
         return data
 
     def put_json(self, key: str, data: Any, *, level: str = "cell") -> None:
         """Store a JSON payload under ``key`` (atomic, last-writer-wins)."""
-        self._write(key, data, level)
-
-    def _write(self, key: str, data: Any, level: str) -> None:
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -409,9 +249,14 @@ class RunCache:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-        self.put_bytes += len(text)
         telemetry_count(f"cache.{level}.puts")
         telemetry_count(f"cache.{level}.put_bytes", len(text))
+
+    # Aliases kept only because the frozen end-to-end benchmark
+    # (``perfbench/layers.py``) wraps these names when it installs its
+    # layer probes; nothing else calls them.
+    get = get_many = get_json
+    put = put_many = put_json
 
     def poison(self, key: str) -> None:
         """Overwrite ``key``'s entry with undecodable bytes.
@@ -428,179 +273,3 @@ class RunCache:
         with open(tmp, "wb") as fh:
             fh.write(b"\xff\xfechaos\x00 corrupted entry")
         os.replace(tmp, path)
-
-    # -- batched I/O (one envelope per cell) --------------------------------
-
-    @contextlib.contextmanager
-    def batched(self, group_key: str, *, level: str = "run"):
-        """Group this scope's reads and writes into one *batch envelope*.
-
-        On entry the envelope stored under ``group_key`` (if any) is
-        read **once** and becomes a lookup overlay for every
-        :meth:`get` inside the scope; every :meth:`put` is buffered; on
-        exit (including via an exception) the merged entries are written
-        back in **one** atomic file write.  Per-record ``hits``/
-        ``misses`` keep counting at consumption time, so an engine
-        running inside a batch reports stats probe-for-probe identical
-        to a bare one — only the file I/O collapses, tracked separately
-        by the ``batch_*`` counters.
-
-        Reentrant per level: a nested ``batched`` reuses the open batch
-        (the outer ``group_key`` wins) so helper layers can wrap
-        defensively.  Entries are self-describing ``{run_key: payload}``
-        maps, so concurrent writers of the same deterministic cell
-        produce identical envelopes and last-writer-wins stays safe.
-        """
-        outer = self._batches.get(level)
-        if outer is not None:
-            yield outer
-            return
-        batch = _CacheBatch(group_key, level, self._read_envelope(group_key, level))
-        self._batches[level] = batch
-        try:
-            yield batch
-        finally:
-            del self._batches[level]
-            self._flush_envelope(batch)
-
-    def _read_envelope(self, group_key: str, level: str) -> dict[str, Any]:
-        try:
-            with open(self.path(group_key), "r", encoding="utf-8") as fh:
-                text = fh.read()
-            data = json.loads(text)
-        except FileNotFoundError:
-            self.batch_misses += 1
-            telemetry_count(f"cache.{level}.batch_misses")
-            return {}
-        except (OSError, ValueError) as exc:
-            self.batch_misses += 1
-            telemetry_count(f"cache.{level}.batch_misses")
-            self.note_invalid(group_key, f"unreadable or corrupt JSON: {exc}")
-            return {}
-        entries = data.get("entries") if isinstance(data, dict) else None
-        if not isinstance(entries, dict) or data.get("kind") != "batch":
-            self.batch_misses += 1
-            telemetry_count(f"cache.{level}.batch_misses")
-            self.note_invalid(group_key, "batch envelope malformed")
-            return {}
-        self.batch_hits += 1
-        self.hit_bytes += len(text)
-        telemetry_count(f"cache.{level}.batch_hits")
-        telemetry_count(f"cache.{level}.batch_hit_bytes", len(text))
-        return entries
-
-    def _flush_envelope(self, batch: _CacheBatch) -> None:
-        if not batch.pending:
-            return
-        envelope = {
-            "kind": "batch",
-            "v": CACHE_VERSION,
-            "entries": {**batch.overlay, **batch.pending},
-        }
-        path = self.path(batch.group_key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        text = json.dumps(envelope, separators=(",", ":"))
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-        self.put_bytes += len(text)
-        self.batch_puts += 1
-        telemetry_count(f"cache.{batch.level}.batch_puts")
-        telemetry_count(f"cache.{batch.level}.batch_put_bytes", len(text))
-
-    def get_many(
-        self, keys: Iterable[str], *, group_key: str | None = None, level: str = "run"
-    ) -> list[RunRecord | None]:
-        """Probe many keys with (at most) one envelope read.
-
-        With ``group_key`` the probe runs inside :meth:`batched`; keys
-        absent from the envelope still fall through to their individual
-        files, so batched and unbatched caches interoperate.
-        """
-        if group_key is None:
-            return [self.get(key) for key in keys]
-        with self.batched(group_key, level=level):
-            return [self.get(key) for key in keys]
-
-    def put_many(
-        self, entries: Mapping[str, RunRecord], *, group_key: str, level: str = "run"
-    ) -> None:
-        """Store many records in one envelope write (one digest pass)."""
-        with self.batched(group_key, level=level):
-            for key, record in entries.items():
-                self.put(key, record)
-
-    # -- per-record probes --------------------------------------------------
-
-    def get(self, key: str) -> RunRecord | None:
-        """The cached record for ``key``, or ``None`` on a miss."""
-        batch = self._batches.get("run")
-        if batch is not None:
-            data = batch.lookup(key)
-            if data is not None:
-                # The envelope's bytes were counted once at batch entry;
-                # per-record accounting here is hits/misses only.
-                self.hits += 1
-                telemetry_count("cache.run.hits")
-                try:
-                    return decode_record(data)
-                except (ValueError, TypeError, KeyError) as exc:
-                    self.hits -= 1
-                    self.misses += 1
-                    telemetry_count("cache.run.hits", -1)
-                    telemetry_count("cache.run.misses")
-                    self.note_invalid(key, f"record schema mismatch: {exc}")
-                    return None
-            # fall through: a key the envelope doesn't know may still
-            # exist as an individual file (unbatched writer)
-        # _read, not get_json: tests stub the public JSON probes
-        # (cell/world granularity) without touching the run-record path.
-        data = self._read(key, level="run")
-        if data is None:
-            return None
-        try:
-            return decode_record(data)
-        except (ValueError, TypeError, KeyError) as exc:
-            # Schema-mismatched entry: count the earlier hit back as a miss.
-            self.hits -= 1
-            self.misses += 1
-            telemetry_count("cache.run.hits", -1)
-            telemetry_count("cache.run.misses")
-            self.note_invalid(key, f"record schema mismatch: {exc}")
-            return None
-
-    def put(self, key: str, record: RunRecord) -> None:
-        """Store ``record`` under ``key`` (atomic, last-writer-wins).
-
-        Inside a :meth:`batched` scope the write is buffered into the
-        open envelope instead of touching its own file.
-        """
-        batch = self._batches.get("run")
-        if batch is not None:
-            batch.pending[key] = encode_record(record)
-            telemetry_count("cache.run.puts")
-            return
-        self._write(key, encode_record(record), level="run")
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def stats(self) -> dict[str, Any]:
-        """Hit/miss/invalid counts, byte totals, and the reason histogram."""
-        batch_probes = self.batch_hits + self.batch_misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalid": self.invalid,
-            "invalid_reasons": dict(self.invalid_reasons),
-            "hit_bytes": self.hit_bytes,
-            "put_bytes": self.put_bytes,
-            "batch_hits": self.batch_hits,
-            "batch_misses": self.batch_misses,
-            "batch_puts": self.batch_puts,
-            "batch_hit_rate": (
-                self.batch_hits / batch_probes if batch_probes else 0.0
-            ),
-            "entries": len(self),
-        }

@@ -20,7 +20,6 @@ Engines are deterministic given (seed, env, app, scale, iteration).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -41,10 +40,8 @@ from repro.network.topology import effective_fabric
 from repro.rng import co_seed, stream, stream_block
 from repro.scenarios.apply import overlay_fabric
 from repro.scenarios.market import draw_preemption, preemption_block
-from repro.scenarios.spec import Scenario, active, footprint_digest
-from repro.sim.cache import RunCache, batch_key, run_key, run_key_block
+from repro.scenarios.spec import Scenario, active
 from repro.sim.run_result import STATE_CODE, STATE_ORDER, RunRecord, RunState
-from repro.telemetry import count as telemetry_count
 from repro.telemetry import span
 from repro.units import HOUR
 
@@ -183,8 +180,6 @@ class ExecutionEngine:
     #: set False to simulate the study's *initial* Azure containers,
     #: before the UCX transport hunt of §3.1 succeeded
     azure_ucx_tuned: bool = True
-    #: optional content-addressed run cache; hits skip simulation
-    cache: RunCache | None = None
     #: optional what-if overlay (:mod:`repro.scenarios`): spot pricing
     #: and preemptions, price shocks, fabric degradation.  ``None`` or
     #: an empty scenario reproduces the baseline byte for byte.
@@ -358,73 +353,7 @@ class ExecutionEngine:
         if not model.supports(env.accelerator):
             reason = model.unsupported_reason.get(env.accelerator, "unsupported")
             return self._skip(env, model, scale, iteration, reason)
-        return self._cached_execute(env, model, scale, iteration, options)
-
-    def _cache_key(
-        self,
-        env: Environment,
-        model: AppModel,
-        scale: int,
-        iteration: int,
-        options: dict[str, Any] | None,
-    ) -> str:
-        # Keys embed the scenario's per-cell *footprint* for this cloud,
-        # not the whole-scenario digest: a cell the scenario cannot touch
-        # keys exactly like the baseline cell (cross-world cache reuse).
-        return run_key(
-            seed=self.seed,
-            env_id=env.env_id,
-            app=model.name,
-            scale=scale,
-            iteration=iteration,
-            engine_options={
-                "azure_ucx_tuned": self.azure_ucx_tuned,
-                "options": options or {},
-            },
-            scenario=footprint_digest(self.scenario, env.cloud),
-        )
-
-    def cache_scope(self, env: Environment, scale: int):
-        """Batch one cell's run-cache traffic into a single envelope.
-
-        Returns a context manager: inside it, every run-level cache
-        probe reads from (and every store buffers into) one
-        :func:`~repro.sim.cache.batch_key`-addressed envelope that is
-        written once at scope exit — one file write and one digest pass
-        per cell instead of one per run (see :meth:`RunCache.batched`).
-        The envelope key is app- and iteration-insensitive, so re-runs
-        with different app rosters or iteration counts still hit it.
-        A no-op without a cache; per-record hit/miss stats are
-        identical either way.
-        """
-        if self.cache is None:
-            return contextlib.nullcontext()
-        return self.cache.batched(
-            batch_key(
-                seed=self.seed,
-                env_id=env.env_id,
-                scale=scale,
-                engine_options={"azure_ucx_tuned": self.azure_ucx_tuned},
-                scenario=footprint_digest(self.scenario, env.cloud),
-            )
-        )
-
-    def _cached_execute(
-        self,
-        env: Environment,
-        model: AppModel,
-        scale: int,
-        iteration: int,
-        options: dict[str, Any] | None,
-    ) -> RunRecord:
-        if self.cache is None:
-            return self._execute(env, model, scale, iteration, options)
-        key = self._cache_key(env, model, scale, iteration, options)
-        record = self.cache.get(key)
-        if record is None:
-            record = self._execute(env, model, scale, iteration, options)
-            self.cache.put(key, record)
-        return record
+        return self._execute(env, model, scale, iteration, options)
 
     def skipped(
         self,
@@ -569,12 +498,12 @@ class ExecutionEngine:
         ctx = self._group_context(group, int(iters[0]) if n else 0)
         block = stream_block(self.seed, "run", env.env_id, group.scale, iterations=iters)
         sig = iters.tobytes()
-        run_key_memo = ("run", env.env_id, group.scale, sig)
+        stream_memo = ("run", env.env_id, group.scale, sig)
         hookup_memo = (
             "hookup", env.cloud, env.is_gpu, group.nodes, env.kind.value, sig,
         )
         with span("engine.rng", env=env.env_id, iterations=n):
-            seeded = self._block_memo.get(run_key_memo)
+            seeded = self._block_memo.get(stream_memo)
             if seeded is not None:
                 # A sibling app of this cell already seeded these streams.
                 block.install_states(seeded)
@@ -593,7 +522,7 @@ class ExecutionEngine:
                 if seeded is None:
                     # One vectorized seeding pass covers both stream families.
                     co_seed(block, hookup_streams)
-                    self._block_memo[run_key_memo] = block.seeded_states()
+                    self._block_memo[stream_memo] = block.seeded_states()
                 hookup = hookup_block(
                     env.cloud,
                     env.is_gpu,
@@ -693,9 +622,9 @@ class ExecutionEngine:
         )
 
     def _column_records(self, group: ResolvedGroup, cols: _BlockColumns) -> list[RunRecord]:
-        """Materialize a column block into per-run records (the cache
-        and generic-stop paths need row objects; the fast path never
-        calls this)."""
+        """Materialize a column block into per-run records (a generic
+        stop callable needs row objects; the fast path never calls
+        this)."""
         from repro.core.results import payload_slot
 
         env_id = group.env.env_id
@@ -743,12 +672,9 @@ class ExecutionEngine:
         results land in ``store`` via
         :meth:`~repro.core.results.ResultStore.append_block` — no
         per-run :class:`RunRecord` on the fast path.  Records are
-        byte-identical to per-iteration :meth:`run` calls.
-
-        With a cache configured, rows materialize for the per-record
-        cache protocol (probe order, puts, and hit/miss stats match the
-        scalar path exactly); a :class:`HookupCutoff` ``stop`` applies
-        vectorized, any other callable sees materialized rows in order.
+        byte-identical to per-iteration :meth:`run` calls.  A
+        :class:`HookupCutoff` ``stop`` applies vectorized; any other
+        callable sees materialized rows in order.
         """
         model = app_lookup(app) if isinstance(app, str) else app
 
@@ -770,11 +696,6 @@ class ExecutionEngine:
             "engine.run_block",
             env=env.env_id, app=model.name, scale=scale, iterations=iterations,
         ):
-            if self.cache is not None:
-                return self._run_block_cached(
-                    env, model, scale, iterations, options, stop, store
-                )
-
             group = self.resolve_group(env, model, scale, options=options)
             cols = self._simulate_columns(group, np.arange(iterations, dtype=np.int64))
             if stop is not None:
@@ -810,97 +731,3 @@ class ExecutionEngine:
                 # Accumulate in record order, like the per-record shard clock.
                 total = total + (cols.wall[j] + cols.hookup[j])
             return BlockOutcome(count=len(cols.iteration), total_seconds=float(total))
-
-    def _run_block_cached(
-        self,
-        env: Environment,
-        model: AppModel,
-        scale: int,
-        iterations: int,
-        options: dict[str, Any] | None,
-        stop: Callable[[RunRecord], bool] | None,
-        store: "ResultStore",
-    ) -> BlockOutcome:
-        """The block path against the per-record cache protocol.
-
-        Keys are digested once per group (:func:`run_key_block`), all
-        iterations probe up front, only the missing ones simulate (as
-        one sub-block), and — when a ``stop`` truncates the batch — the
-        cache's hit/miss counters are re-aligned to the executed prefix
-        so the stats match the scalar path probe for probe.
-        """
-        keys = run_key_block(
-            seed=self.seed,
-            env_id=env.env_id,
-            app=model.name,
-            scale=scale,
-            iterations=range(iterations),
-            engine_options={
-                "azure_ucx_tuned": self.azure_ucx_tuned,
-                "options": options or {},
-            },
-            scenario=footprint_digest(self.scenario, env.cloud),
-        )
-        probes: list[RunRecord | None] = []
-        probe_invalid: list[int] = []
-        probe_reasons: list[dict[str, int] | None] = []
-        with span("engine.cache_probe", env=env.env_id, app=model.name, probes=len(keys)):
-            for key in keys:
-                before = self.cache.invalid
-                before_reasons = dict(self.cache.invalid_reasons)
-                probes.append(self.cache.get(key))
-                delta = self.cache.invalid - before
-                probe_invalid.append(delta)
-                # Remember which reason bins this probe touched, so a
-                # stop-truncated batch can unwind them with the counters.
-                probe_reasons.append(
-                    None if not delta else {
-                        label: count - before_reasons.get(label, 0)
-                        for label, count in self.cache.invalid_reasons.items()
-                        if count != before_reasons.get(label, 0)
-                    }
-                )
-        records: list[RunRecord | None] = list(probes)
-        missing = [i for i, record in enumerate(probes) if record is None]
-        simulated: list[RunRecord] = []
-        if missing:
-            group = self.resolve_group(env, model, scale, options=options)
-            cols = self._simulate_columns(group, np.asarray(missing, dtype=np.int64))
-            simulated = self._column_records(group, cols)
-            for i, record in zip(missing, simulated):
-                records[i] = record
-        prefix = len(records)
-        if stop is not None:
-            prefix = next(
-                (j + 1 for j, r in enumerate(records) if stop(r)), len(records)
-            )
-        with span("engine.cache_put", env=env.env_id, app=model.name):
-            for i, record in zip(missing, simulated):
-                if i < prefix:
-                    self.cache.put(keys[i], record)
-        if prefix < len(records):
-            # The scalar path never probes past the stop; re-align all
-            # three counters (a corrupt entry past the stop must not
-            # surface as an invalid-entry degradation it never caused).
-            over_hits = sum(1 for r in probes[prefix:] if r is not None)
-            over_misses = (len(records) - prefix) - over_hits
-            self.cache.hits -= over_hits
-            self.cache.misses -= over_misses
-            self.cache.invalid -= sum(probe_invalid[prefix:])
-            telemetry_count("cache.run.hits", -over_hits)
-            telemetry_count("cache.run.misses", -over_misses)
-            telemetry_count("cache.invalid", -sum(probe_invalid[prefix:]))
-            # The reason histogram unwinds with the invalid counter.
-            for deltas in probe_reasons[prefix:]:
-                for label, count in (deltas or {}).items():
-                    remaining = self.cache.invalid_reasons.get(label, 0) - count
-                    if remaining > 0:
-                        self.cache.invalid_reasons[label] = remaining
-                    else:
-                        self.cache.invalid_reasons.pop(label, None)
-        kept = records[:prefix]
-        store.extend(kept)
-        total = 0.0
-        for record in kept:
-            total = total + record.total_seconds
-        return BlockOutcome(count=len(kept), total_seconds=total)

@@ -56,11 +56,9 @@ SPANS: dict[str, str] = {
     # the engine
     "engine.run_block": "one (env, app, size) group through the array-native path",
     "engine.resolve_group": "placement, fabric, ECC, and pricing resolution",
-    "engine.rng": "batched keyed-stream seeding and hookup draws",
+    "engine.rng": "block keyed-stream seeding and hookup draws",
     "engine.physics": "the app model's columnar simulation",
     "engine.price": "walltime policy, spot preemption, and pricing as array math",
-    "engine.cache_probe": "probing the run cache for a group's iterations",
-    "engine.cache_put": "storing a group's simulated records in the run cache",
     # the benchmark suite
     "bench.run": "the whole benchmark suite",
     "bench.seed": "the per-iteration seed pipeline",
@@ -84,13 +82,8 @@ COUNTERS: dict[str, str] = {
     "transport.bytes": "column bytes crossing via shared memory",
     "transport.copied_bytes": "column bytes copied at attach time (zero-copy = 0)",
     "transport.reaped": "orphaned /dev/shm segments swept after dead workers",
-    # the cache (levels: run / cell / world)
+    # the cache (levels: cell / world)
     "cache.invalid": "unusable cache entries degraded to re-simulation",
-    "cache.run.hits": "run-level cache hits",
-    "cache.run.misses": "run-level cache misses",
-    "cache.run.puts": "run-level cache stores",
-    "cache.run.put_bytes": "run-level bytes written",
-    "cache.run.hit_bytes": "run-level bytes served",
     "cache.cell.hits": "cell-level cache hits",
     "cache.cell.misses": "cell-level cache misses",
     "cache.cell.puts": "cell-level cache stores",

@@ -243,3 +243,6 @@ def test_corrupted_cache_entries_degrade_to_re_execution(tmp_path, clean_csv):
     assert report.store.to_csv() == clean_csv
     assert report.cache.invalid >= 1
     assert report.cache.invalid_reasons
+    # Nothing replays from beneath a poisoned cell: every record of the
+    # re-run is re-simulated.
+    assert report.cache.hits == 0

@@ -245,7 +245,7 @@ def test_malformed_run_cache_entry_warns_and_counts(tmp_path, caplog):
     )
     cold = StudyRunner(config, cache_dir=str(tmp_path)).run()
     assert cold.cache.invalid == 0
-    # Corrupt every entry (run-level and cell-level alike).
+    # Corrupt every cell entry.
     for entry in tmp_path.glob("*/*.json"):
         entry.write_text("{truncated")
     with caplog.at_level("WARNING", logger="repro.sim.cache"):

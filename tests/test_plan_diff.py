@@ -333,8 +333,8 @@ def test_mutating_one_field_resimulates_exactly_the_touched_cells(
     merged = None
     for _, results in executor.iter_world_results():
         # A cell replayed from cache (attached, or dispatched but warm)
-        # reports zero run-level misses; only genuine re-simulation
-        # misses — so the miss set *is* the invalidation set.
+        # reports zero misses; only genuine re-simulation misses — so
+        # the miss set *is* the invalidation set.
         resimulated |= {
             ENVIRONMENTS[r.env_id].cloud for r in results if r.cache.misses > 0
         }
@@ -443,7 +443,7 @@ def test_ensemble_surfaces_broken_world_summaries(tmp_path, corruption):
     second = runner.run()
     assert second.world_cache.invalid >= 1
     assert second.to_json_dict()["world_cache"]["invalid"] >= 1
-    # The broken world re-executed (through the warm run-level cache)
+    # The broken world re-executed (through the warm cell-level cache)
     # and folded to the exact same distributions.
     a, b = first.to_json_dict(), second.to_json_dict()
     a.pop("world_cache"), b.pop("world_cache")

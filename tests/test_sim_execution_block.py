@@ -1,12 +1,12 @@
 """run_block ≡ the scalar per-iteration path, end to end.
 
 The acceptance criterion of the vectorized iteration axis: the block
-path — batched keyed RNG, columnar app physics, array-native pricing /
+path — block keyed RNG, columnar app physics, array-native pricing /
 walltime / preemption, ``append_block`` — is byte-identical to the
 scalar reference (per-iteration :meth:`ExecutionEngine.run` calls,
-ended by the same stop policy), over every app, over cache states,
-over early-stop cutoffs, and over whole study / scenario / ensemble
-plans at any worker count.
+ended by the same stop policy), over every app, over early-stop
+cutoffs, and over whole study / scenario / ensemble plans at any
+worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.envs.registry import ENVIRONMENTS
 from repro.ensemble import EnsembleRunner, EnsembleSpec
 from repro.scenarios import ScenarioSweep
 from repro.scenarios.presets import scenario as scenario_lookup
-from repro.sim.cache import RunCache
 from repro.sim.execution import ExecutionEngine, HookupCutoff
 
 
@@ -90,64 +89,6 @@ def test_generic_stop_callable_still_works():
 
     _assert_equivalent("cpu-eks-aws", "amg2023", 64, iterations=6, stop=stop)
     assert calls  # the block path evaluated the opaque callable per record
-
-
-def test_cache_protocol_matches_scalar(tmp_path):
-    env = ENVIRONMENTS["cpu-eks-aws"]
-    scalar = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "a"))
-    block = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "b"))
-    for iterations in (6, 6, 9):  # cold, warm, mixed tail
-        reference = _scalar_records(scalar, env, "osu", 64, iterations=iterations)
-        store = _block_store(block, env, "osu", 64, iterations=iterations)
-        assert store.records == reference
-        assert block.cache.hits == scalar.cache.hits
-        assert block.cache.misses == scalar.cache.misses
-
-
-def test_stop_truncation_realigns_invalid_counter(tmp_path):
-    """A corrupt cache entry past the stop point is not a degradation.
-
-    The scalar path never probes beyond the stop, so it never sees the
-    corrupt entry; the block path probes up front and must re-align
-    ``cache.invalid`` (not just hits/misses) to the executed prefix.
-    """
-    env = ENVIRONMENTS["cpu-aks-az"]
-    stop = HookupCutoff(env_id="cpu-aks-az", scale=256, threshold_s=300.0)
-    warm = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "c"))
-    _block_store(warm, env, "lammps", 256, iterations=5)  # populate entries
-    # Corrupt the entry for an iteration the stop will cut off.
-    from repro.sim.cache import run_key_block
-
-    keys = run_key_block(
-        seed=0, env_id=env.env_id, app="lammps", scale=256,
-        iterations=range(5),
-        engine_options={"azure_ucx_tuned": True, "options": {}},
-        scenario=None,
-    )
-    (warm.cache.path(keys[3])).write_text("garbage", encoding="utf-8")
-
-    scalar = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "c"))
-    reference = _scalar_records(scalar, env, "lammps", 256, iterations=5, stop=stop)
-    block = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "c"))
-    store = _block_store(block, env, "lammps", 256, iterations=5, stop=stop)
-    assert store.records == reference
-    assert block.cache.hits == scalar.cache.hits
-    assert block.cache.misses == scalar.cache.misses
-    assert block.cache.invalid == scalar.cache.invalid == 0
-
-
-def test_block_and_scalar_caches_interchange(tmp_path):
-    """Entries written by one path replay byte-identically in the other."""
-    env = ENVIRONMENTS["cpu-eks-aws"]
-    shared = tmp_path / "shared"
-    writer = ExecutionEngine(seed=0, cache=RunCache(shared))
-    store = _block_store(writer, env, "amg2023", 64, iterations=4)
-    reader = ExecutionEngine(seed=0, cache=RunCache(shared))
-    replayed = _scalar_records(reader, env, "amg2023", 64, iterations=4)
-    assert reader.cache.hits == 4 and reader.cache.misses == 0
-    # Cached records round-trip through JSON (tuples come back as
-    # lists), so the interchange guarantee is on the exported dataset.
-    assert ResultStore(replayed).to_csv() == store.to_csv()
 
 
 def test_block_outcome_totals_match_record_clock():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.study import StudyConfig, StudyRunner
+from repro.parallel.stats import CacheStats
 from repro.sim.cache import INVALID_REASON_CAP, RunCache
 from repro.telemetry import (
     COUNTERS,
@@ -49,7 +50,7 @@ def test_disabled_span_is_shared_singleton():
 
 
 def test_disabled_count_is_noop():
-    count("cache.run.hits", 5)  # must not raise, must not record anywhere
+    count("cache.cell.hits", 5)  # must not raise, must not record anywhere
     assert current_tracer() is None
 
 
@@ -105,10 +106,10 @@ def test_end_unwinds_dangling_children():
 def test_counters_accumulate():
     tracer = Tracer()
     with use_tracer(tracer):
-        count("cache.run.hits")
-        count("cache.run.hits", 4)
-        count("cache.run.hit_bytes", 1024)
-    assert tracer.counters == {"cache.run.hits": 5, "cache.run.hit_bytes": 1024}
+        count("cache.cell.hits")
+        count("cache.cell.hits", 4)
+        count("cache.cell.hit_bytes", 1024)
+    assert tracer.counters == {"cache.cell.hits": 5, "cache.cell.hit_bytes": 1024}
 
 
 def test_use_tracer_restores_prior():
@@ -174,13 +175,13 @@ def test_absorb_rejects_version_skew():
 
 def test_merged_counters_sum_across_lanes():
     main = Tracer()
-    main.count("cache.run.hits", 2)
+    main.count("cache.cell.hits", 2)
     snapshot = _worker_snapshot()
-    snapshot["counters"] = {"cache.run.hits": 3, "cache.run.misses": 1}
+    snapshot["counters"] = {"cache.cell.hits": 3, "cache.cell.misses": 1}
     main.absorb(snapshot)
     doc = merge_trace(main)
-    assert doc["counters"]["cache.run.hits"] == 5
-    assert doc["counters"]["cache.run.misses"] == 1
+    assert doc["counters"]["cache.cell.hits"] == 5
+    assert doc["counters"]["cache.cell.misses"] == 1
 
 
 # -- exporters ----------------------------------------------------------------
@@ -364,7 +365,7 @@ def test_disabled_instrumentation_is_cheap():
     start = time.perf_counter()
     for _ in range(n):
         with span("engine.physics", env="cpu-eks-aws"):
-            count("cache.run.hits")
+            count("cache.cell.hits")
     per_call = (time.perf_counter() - start) / n
     assert current_tracer() is None
     assert per_call < 20e-6  # 20 µs/op ceiling; the real cost is ~0.5 µs
@@ -377,7 +378,7 @@ def test_cache_reason_histogram_caps(tmp_path):
     cache = RunCache(tmp_path)
     for i in range(INVALID_REASON_CAP + 3):
         cache.note_invalid("deadbeef", f"reason-{i}: detail {i}")
-    histogram = cache.stats()["invalid_reasons"]
+    histogram = CacheStats.of(cache).invalid_reasons
     # The first CAP distinct labels keep their bins; overflow folds
     # into "other" so one corrupt directory cannot balloon the report.
     assert len(histogram) == INVALID_REASON_CAP + 1
@@ -389,7 +390,7 @@ def test_cache_reason_labels_strip_detail(tmp_path):
     cache = RunCache(tmp_path)
     cache.note_invalid("k1", "corrupt JSON: line 1 column 2")
     cache.note_invalid("k2", "corrupt JSON: line 9 column 4")
-    assert cache.stats()["invalid_reasons"] == {"corrupt JSON": 2}
+    assert CacheStats.of(cache).invalid_reasons == {"corrupt JSON": 2}
 
 
 def test_cache_stats_shape_and_counters(tmp_path):
@@ -399,13 +400,14 @@ def test_cache_stats_shape_and_counters(tmp_path):
         assert cache.get_json("aa11", level="world") is None
         cache.put_json("aa11", {"x": 1}, level="world")
         assert cache.get_json("aa11", level="world") == {"x": 1}
-    stats = cache.stats()
-    assert stats["hits"] == 1 and stats["misses"] == 1
-    assert stats["put_bytes"] > 0 and stats["hit_bytes"] == stats["put_bytes"]
-    assert stats["entries"] == 1
+    stats = CacheStats.of(cache)
+    assert stats.hits == 1 and stats.misses == 1 and stats.invalid == 0
+    assert len(list(tmp_path.glob("*/*.json"))) == 1
     assert tracer.counters["cache.world.hits"] == 1
     assert tracer.counters["cache.world.misses"] == 1
     assert tracer.counters["cache.world.puts"] == 1
+    put_bytes = tracer.counters["cache.world.put_bytes"]
+    assert put_bytes > 0 and tracer.counters["cache.world.hit_bytes"] == put_bytes
 
 
 def test_invalid_reasons_reported_by_study(tmp_path):
@@ -468,6 +470,38 @@ def test_every_emitted_counter_is_registered():
     assert not unregistered, (
         f"counter names emitted in src/ but missing from "
         f"repro.telemetry.registry.COUNTERS: {sorted(unregistered)}"
+    )
+
+
+def test_cached_workloads_emit_only_registered_counters(tmp_path):
+    # The lint above only sees literal names; cache and reuse counters
+    # are built per call, so run the cached paths and check what they
+    # actually emit.
+    from repro.ensemble import EnsembleRunner, EnsembleSpec
+    from repro.scenarios.presets import scenario as scenario_lookup
+    from repro.scenarios.sweep import ScenarioSweep
+
+    tracer = Tracer()
+    with use_tracer(tracer):
+        for _ in range(2):  # cold, then warm
+            StudyRunner(StudyConfig.smoke(), cache_dir=str(tmp_path / "study")).run()
+        ScenarioSweep(
+            StudyConfig.smoke(),
+            [scenario_lookup("azure-price-spike")],
+            cache_dir=str(tmp_path / "sweep"),
+            incremental=True,
+        ).run()
+        spec = EnsembleSpec(
+            n_replicas=2,
+            env_ids=("cpu-eks-aws",),
+            apps=("lammps",),
+            sizes=(32,),
+            iterations=2,
+        )
+        EnsembleRunner(spec, cache_dir=str(tmp_path / "ensemble")).run()
+    assert {"cache.cell.hits", "cache.world.puts"} <= set(tracer.counters)
+    assert set(tracer.counters) <= set(COUNTERS), sorted(
+        set(tracer.counters) - set(COUNTERS)
     )
 
 
