@@ -11,9 +11,9 @@ reproduced:
 * on-premises results unavailable ("partial output was saved and we
   are not able to report the result") — on-prem runs return a failure.
 
-The numerical core this models is implemented for real in
-:mod:`repro.machine.kernels.cg`; the flop count here follows the same
-2*nnz + 10n accounting.
+Each CG iteration is counted as one sparse mat-vec (2 flops per
+nonzero) plus 10 flops per row for the dot products and vector
+updates: ``FLOPS_PER_ITER = 2*nnz + 10n``.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ Findings reproduced:
   were pinned to GPU 0 (an erroneous build or runtime misconfiguration)
   — GPU runs return a timeout-flavoured failure.
 
-The tracking kernel is implemented for real in
-:mod:`repro.machine.kernels.mc`; this model uses the same
-segments-per-particle accounting.
+Tracking work is counted per segment: each particle generates
+``SEGMENTS_PER_PARTICLE`` segments per cycle at ``FLOPS_PER_SEGMENT``
+flops-equivalent each.
 """
 
 from __future__ import annotations

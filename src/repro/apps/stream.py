@@ -10,8 +10,9 @@ Two configurations, as in the study:
 * **GPU, across nodes** — per-GPU Triad GB/s.  All V100 environments
   land near 783 GB/s (ECC on) with Azure's slightly lower at ~748.
 
-The kernel itself is implemented and measured for real in
-:mod:`repro.machine.kernels.triad`.
+Neither configuration runs the kernel: the FOM is the node's (or the
+ECC-on GPU's) memory bandwidth scaled by the environment's
+``stream_efficiency`` and perturbed by the CVs below.
 """
 
 from __future__ import annotations

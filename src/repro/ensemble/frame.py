@@ -224,16 +224,10 @@ class ResultFrame:
         return cls(columns=columns, cells=cells, labels=labels)
 
     @classmethod
-    def from_store(cls, store) -> "ResultFrame":
-        """Convert a :class:`~repro.core.results.ResultStore`.
-
-        Columnar stores hand over buffer views (zero-copy); anything
-        else falls back to the record-list conversion pass.
-        """
-        frame_columns = getattr(store, "frame_columns", None)
-        if frame_columns is not None:
-            return cls.from_columns(frame_columns())
-        return cls.from_records(store.records)
+    def from_store(cls, store: "ResultStore") -> "ResultFrame":
+        """Convert a :class:`~repro.core.results.ResultStore` from views
+        of its column buffers (zero-copy)."""
+        return cls.from_columns(store.frame_columns())
 
     def __len__(self) -> int:
         return len(self._columns["state"])

@@ -86,7 +86,7 @@ def run(seed: int = 0, iterations: int = 5) -> ExperimentOutput:
     ]
     from repro.core.results import ResultStore
 
-    combined = ResultStore(records=[*cpu_store.records, *gpu_store.records])
+    combined = ResultStore.merge((cpu_store, gpu_store))
     return ExperimentOutput(
         experiment_id="fig4",
         title="LAMMPS FOM (CPU + GPU)",

@@ -1,10 +1,8 @@
-"""Machine models: per-architecture compute rates, GPUs, real kernels.
+"""Machine models: per-architecture compute rates and GPUs.
 
 ``rates`` holds calibrated sustained rates per processor architecture
 and kernel class; ``node``/``gpu`` assemble them into node-level
-capability objects; ``kernels`` contains genuine NumPy implementations
-of each proxy app's numerical core, used by the examples and
-benchmarks and to validate the analytic models.
+capability objects.
 """
 
 from repro.machine.gpu import GpuModel, V100

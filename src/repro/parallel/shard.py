@@ -360,14 +360,9 @@ def _execute_shard_body(shard: StudyShard) -> ShardResult:
     cache = RunCache(shard.cache_dir) if shard.cache_dir else None
     engine = ExecutionEngine(seed=shard.seed, scenario=scn)
     if cache is not None:
-        cell_key = shard_summary_key(shard)
-        cached = cache.get_json(cell_key)
+        cached = attach_shard(shard, cache)
         if cached is not None:
-            try:
-                return _decode_shard(shard, cached)
-            except (KeyError, TypeError, ValueError) as exc:
-                # Corrupt or stale cell entry: warn once and re-execute.
-                cache.note_invalid(cell_key, f"study-cell entry malformed: {exc}")
+            return cached
     result = ShardResult(
         index=shard.index, env_id=shard.env_id, scale=shard.scale, world=shard.world
     )

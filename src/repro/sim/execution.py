@@ -21,7 +21,7 @@ Engines are deterministic given (seed, env, app, scale, iteration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.rng import co_seed, stream, stream_block
 from repro.scenarios.apply import overlay_fabric
 from repro.scenarios.market import draw_preemption, preemption_block
 from repro.scenarios.spec import Scenario, active
-from repro.sim.run_result import STATE_CODE, STATE_ORDER, RunRecord, RunState
+from repro.sim.run_result import STATE_CODE, RunRecord, RunState
 from repro.telemetry import span
 from repro.units import HOUR
 
@@ -621,37 +621,6 @@ class ExecutionEngine:
             extra=extra,
         )
 
-    def _column_records(self, group: ResolvedGroup, cols: _BlockColumns) -> list[RunRecord]:
-        """Materialize a column block into per-run records (a generic
-        stop callable needs row objects; the fast path never calls
-        this)."""
-        from repro.core.results import payload_slot
-
-        env_id = group.env.env_id
-        app = group.model.name
-        units = group.model.fom_units
-        records = []
-        for j in range(len(cols.iteration)):
-            records.append(
-                RunRecord(
-                    env_id=env_id,
-                    app=app,
-                    scale=group.scale,
-                    nodes=group.nodes,
-                    iteration=int(cols.iteration[j]),
-                    state=STATE_ORDER[cols.state[j]],
-                    fom=None if cols.fom_none[j] else float(cols.fom[j]),
-                    fom_units=units,
-                    wall_seconds=float(cols.wall[j]),
-                    hookup_seconds=float(cols.hookup[j]),
-                    cost_usd=float(cols.cost[j]),
-                    phases=payload_slot(cols.phases, j),
-                    failure_kind=payload_slot(cols.failure_kind, j),
-                    extra=payload_slot(cols.extra, j),
-                )
-            )
-        return records
-
     def run_block(
         self,
         env: Environment,
@@ -661,7 +630,7 @@ class ExecutionEngine:
         iterations: int,
         store: "ResultStore",
         options: dict[str, Any] | None = None,
-        stop: Callable[[RunRecord], bool] | None = None,
+        stop: HookupCutoff | None = None,
     ) -> BlockOutcome:
         """Run one (env, app, size) group entirely as array math.
 
@@ -672,9 +641,9 @@ class ExecutionEngine:
         results land in ``store`` via
         :meth:`~repro.core.results.ResultStore.append_block` — no
         per-run :class:`RunRecord` on the fast path.  Records are
-        byte-identical to per-iteration :meth:`run` calls.  A
-        :class:`HookupCutoff` ``stop`` applies vectorized; any other
-        callable sees materialized rows in order.
+        byte-identical to per-iteration :meth:`run` calls.  ``stop``
+        truncates the block after its first triggering record
+        (:meth:`HookupCutoff.stop_index`).
         """
         model = app_lookup(app) if isinstance(app, str) else app
 
@@ -699,14 +668,7 @@ class ExecutionEngine:
             group = self.resolve_group(env, model, scale, options=options)
             cols = self._simulate_columns(group, np.arange(iterations, dtype=np.int64))
             if stop is not None:
-                stop_index = getattr(stop, "stop_index", None)
-                if stop_index is not None:
-                    k = stop_index(env.env_id, scale, cols.hookup)
-                else:
-                    k = next(
-                        (j for j, r in enumerate(self._column_records(group, cols)) if stop(r)),
-                        None,
-                    )
+                k = stop.stop_index(env.env_id, scale, cols.hookup)
                 if k is not None:
                     cols = cols.truncate(k + 1)
             store.append_block(

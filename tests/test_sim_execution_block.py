@@ -80,17 +80,6 @@ def test_hookup_cutoff_truncates_identically():
     _assert_equivalent("cpu-eks-aws", "lammps", 256, iterations=5, stop=stop)
 
 
-def test_generic_stop_callable_still_works():
-    calls = []
-
-    def stop(record):
-        calls.append(record.iteration)
-        return record.iteration >= 2
-
-    _assert_equivalent("cpu-eks-aws", "amg2023", 64, iterations=6, stop=stop)
-    assert calls  # the block path evaluated the opaque callable per record
-
-
 def test_block_outcome_totals_match_record_clock():
     env = ENVIRONMENTS["cpu-aks-az"]
     engine = ExecutionEngine(seed=0)
