@@ -1,4 +1,4 @@
-"""Container build pipeline: recipes, compatibility solving, registry, runtimes.
+"""Container build pipeline: recipes, compatibility solving, registry.
 
 The study built 220 containers across 12 environments (§3.1).  The
 differences came down to drivers and networking software: AWS needed
@@ -18,18 +18,14 @@ from repro.containers.recipe import (
     recipe_for,
 )
 from repro.containers.registry import Registry
-from repro.containers.runtime import ContainerRuntime, Containerd, Singularity
 
 __all__ = [
     "BuildResult",
     "ContainerBuilder",
     "ContainerImage",
-    "ContainerRuntime",
-    "Containerd",
     "FLUX_STACK",
     "Package",
     "Recipe",
     "Registry",
-    "Singularity",
     "recipe_for",
 ]

@@ -9,8 +9,9 @@
 3. for each environment and cluster size: provision a cluster (charging
    the billing meter, recording provisioning faults), deploy the
    environment (Kubernetes: cluster + daemonsets + Flux Operator
-   MiniCluster; VM: Singularity pulls; on-prem: queue waits), run each
-   app for ``iterations`` iterations, release the cluster;
+   MiniCluster; VM: the provisioned cluster as is; on-prem: queue
+   waits), run each app for ``iterations`` iterations, release the
+   cluster;
 4. collect every run in a :class:`~repro.core.results.ResultStore` and
    every effort event in the incident log.
 

@@ -193,10 +193,6 @@ class EnsembleRunner:
         """The whole grid as one :class:`~repro.plan.ir.RunPlan`."""
         return compile_ensemble(self.spec, cache_dir=self.cache_dir)
 
-    def _plans(self) -> tuple[PlanWorld, ...]:
-        """The grid's worlds in fold order (compiled plan's world list)."""
-        return self.compile().worlds
-
     def _world_key(self, world: PlanWorld) -> str:
         scn = active(world.scenario)
         config = self.spec.study_config(world.replica)

@@ -82,14 +82,11 @@ class DaemonSetRollout:
         Rollout is parallel across nodes, so wall time is the per-node
         time (plus a small scheduling sweep proportional to node count).
         """
-        for node in nodes:
-            pod = self.spec.pod_for(node)
-            pod.node_name = node.name
-            pod.phase = PodPhase.RUNNING
-            node.pods.append(pod)
-            for resource, count in self.spec.provides:
-                node.extended_capacity[resource] = count
-            self.pods.append(pod)
+        placed = [self.spec.pod_for(node) for node in nodes]
+        for node, pod in zip(nodes, placed):
+            node.add_pod(pod)
+            node.extended_capacity.update(self.spec.provides)
+        self.pods.extend(placed)
         sweep = 0.02 * len(nodes)
         return self.spec.rollout_seconds_per_node + sweep
 

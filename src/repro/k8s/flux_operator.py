@@ -10,12 +10,11 @@ queue inside the pods.  This module models that lifecycle:
 2. :class:`FluxOperator.create` gang-schedules the pods (all-or-nothing,
    like the real operator's indexed Job), charges image-pull time on
    cache-miss, waits for broker bootstrap (a tree broadcast — log(n)
-   rounds), and returns a :class:`MiniCluster` wrapping a
-   :class:`~repro.scheduler.flux.FluxScheduler` sized to the pods.
+   rounds), and returns a :class:`MiniCluster` holding the bound pods
+   and the bring-up time.
 
-The returned Flux instance is what the execution engine submits app
-runs to, so Kubernetes and VM environments share scheduler code exactly
-as the study shared Flux across environments.
+A study cell charges that bring-up time as part of its setup cost
+(:mod:`repro.parallel.shard`).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from dataclasses import dataclass, field
 from repro.errors import SchedulingError
 from repro.k8s.cluster import KubernetesCluster
 from repro.k8s.objects import Pod, ResourceRequest
-from repro.scheduler.flux import FluxScheduler
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,6 @@ class MiniCluster:
 
     spec: MiniClusterSpec
     pods: list[Pod]
-    flux: FluxScheduler
     bringup_seconds: float
 
     @property
@@ -114,13 +111,7 @@ class FluxOperator:
         rounds = max(1, math.ceil(math.log2(max(spec.size, 2))))
         bootstrap = 1.5 * rounds
 
-        flux = FluxScheduler(nodes=spec.size)
-        mc = MiniCluster(
-            spec=spec,
-            pods=pods,
-            flux=flux,
-            bringup_seconds=pull_wall + bootstrap,
-        )
+        mc = MiniCluster(spec=spec, pods=pods, bringup_seconds=pull_wall + bootstrap)
         self.miniclusters.append(mc)
         return mc
 
@@ -131,6 +122,5 @@ class FluxOperator:
         for pod in mc.pods:
             for node in self.cluster.nodes:
                 if pod in node.pods:
-                    node.pods.remove(pod)
-            pod.node_name = None
+                    node.remove_pod(pod)
         self.miniclusters.remove(mc)

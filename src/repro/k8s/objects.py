@@ -75,6 +75,20 @@ class KubeNode:
     image_cache: set[str] = field(default_factory=set)
     ready: bool = True
 
+    # -- binding --------------------------------------------------------------
+
+    def add_pod(self, pod: Pod) -> None:
+        """Bind ``pod`` here; the caller has already checked :meth:`fits`."""
+        pod.node_name = self.name
+        pod.phase = PodPhase.RUNNING
+        self.pods.append(pod)
+
+    def remove_pod(self, pod: Pod) -> None:
+        """Unbind ``pod`` from this node, returning it to pending."""
+        self.pods.remove(pod)
+        pod.node_name = None
+        pod.phase = PodPhase.PENDING
+
     # -- accounting -----------------------------------------------------------
 
     def cpu_used(self) -> float:

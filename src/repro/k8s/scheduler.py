@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SchedulingError
-from repro.k8s.objects import KubeNode, Pod, PodPhase
+from repro.k8s.objects import KubeNode, Pod
 
 
 @dataclass
@@ -52,9 +52,7 @@ class KubeScheduler:
                 f"(insufficient resources or pod-IP budget)"
             )
         best = max(feasible, key=lambda n: (self.score(n, pod), n.name))
-        pod.node_name = best.name
-        pod.phase = PodPhase.RUNNING
-        best.pods.append(pod)
+        best.add_pod(pod)
         self.bound.append(pod)
         return best
 
@@ -72,9 +70,7 @@ class KubeScheduler:
                 placed.append((pod, node))
         except SchedulingError:
             for pod, node in placed:
-                node.pods.remove(pod)
-                pod.node_name = None
-                pod.phase = PodPhase.PENDING
+                node.remove_pod(pod)
                 self.bound.remove(pod)
             raise
         return [node for _, node in placed]

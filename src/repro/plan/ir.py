@@ -135,9 +135,6 @@ class RunPlan:
         for shard in self.shards:
             yield from planned_runs(shard)
 
-    def shards_for_world(self, index: int) -> tuple[StudyShard, ...]:
-        return tuple(shard for shard in self.shards if shard.world == index)
-
     def world_shard_counts(self) -> list[tuple[PlanWorld, int]]:
         """(world, shard count) pairs in plan order."""
         counts = {world.index: 0 for world in self.worlds}

@@ -1,39 +1,10 @@
-"""Workload managers: Slurm, Flux, and LSF over a discrete-event core.
+"""On-prem queue waits.
 
-The paper submits jobs through Slurm (ParallelCluster, CycleCloud,
-on-prem A), Flux (all Kubernetes environments via the Flux Operator, and
-Compute Engine), and LSF (on-prem B).  Each manager here implements the
-same :class:`~repro.scheduler.base.Scheduler` interface over the shared
-event engine, differing in queueing policy and submission semantics —
-which is exactly the "similar but subtly different interfaces" friction
-§4.3 calls out.
+Cloud clusters in the study were dedicated; on-prem jobs waited in the
+center's shared queue (§2.9).  :class:`OnPremQueueModel` samples those
+waits for the on-prem cells of a study.
 """
 
-from repro.scheduler.base import (
-    Allocation,
-    Job,
-    JobState,
-    NodePool,
-    Scheduler,
-    SchedulerStats,
-)
-from repro.scheduler.events import EventQueue, SimClock
-from repro.scheduler.flux import FluxScheduler
-from repro.scheduler.lsf import LsfScheduler
 from repro.scheduler.queueing import OnPremQueueModel
-from repro.scheduler.slurm import SlurmScheduler
 
-__all__ = [
-    "Allocation",
-    "EventQueue",
-    "FluxScheduler",
-    "Job",
-    "JobState",
-    "LsfScheduler",
-    "NodePool",
-    "OnPremQueueModel",
-    "Scheduler",
-    "SchedulerStats",
-    "SimClock",
-    "SlurmScheduler",
-]
+__all__ = ["OnPremQueueModel"]

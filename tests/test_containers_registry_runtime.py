@@ -1,11 +1,10 @@
-"""Registry and runtime tests."""
+"""Registry tests."""
 
 import pytest
 
 from repro.containers.builder import ContainerBuilder
 from repro.containers.recipe import recipe_for
 from repro.containers.registry import Registry
-from repro.containers.runtime import Containerd, Singularity
 
 
 @pytest.fixture
@@ -43,33 +42,3 @@ def test_oras_artifacts(registry):
     registry.push_artifact("results/run-001.json", b'{"fom": 1.5}')
     assert registry.artifact("results/run-001.json") == b'{"fom": 1.5}'
 
-
-def test_runtime_pull_caching(registry):
-    runtime = Containerd(registry, cloud="aws")
-    first = runtime.pull("amg2023-aws-cpu")
-    assert not first.cached
-    assert first.seconds > 0
-    second = runtime.pull("amg2023-aws-cpu")
-    assert second.cached
-    assert second.seconds == 0.0
-
-
-def test_singularity_pays_sif_conversion(registry):
-    cd = Containerd(registry, cloud="aws")
-    sg = Singularity(Registry(images=dict(registry.images)), cloud="aws")
-    t_cd = cd.pull("amg2023-aws-cpu").seconds
-    t_sg = sg.pull("amg2023-aws-cpu").seconds
-    assert t_sg > t_cd
-
-
-def test_singularity_starts_faster(registry):
-    image = registry.images["amg2023-aws-cpu"]
-    cd = Containerd(registry, cloud="aws")
-    sg = Singularity(registry, cloud="aws")
-    assert sg.start(image) < cd.start(image)
-
-
-def test_no_runtime_performance_overhead(registry):
-    # §1.1: containerized HPC apps run at bare-metal speed.
-    assert Containerd(registry, "aws").runtime_efficiency == 1.0
-    assert Singularity(registry, "aws").runtime_efficiency == 1.0

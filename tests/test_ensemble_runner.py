@@ -108,7 +108,7 @@ def test_world_cache_corruption_resimulates_silently(tmp_path):
     # summaries specifically.
     world_paths = [
         RunCache(tmp_path).path(runner._world_key(world))
-        for world in runner._plans()
+        for world in runner.compile().worlds
     ]
     assert all(path.exists() for path in world_paths)
     # Non-JSON garbage in one entry, and JSON-valid-but-mistyped values

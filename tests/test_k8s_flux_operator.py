@@ -8,7 +8,6 @@ from repro.cloud.quota import QuotaLedger, QuotaRequest
 from repro.errors import SchedulingError
 from repro.k8s.cluster import KubernetesCluster
 from repro.k8s.flux_operator import FluxOperator, MiniClusterSpec
-from repro.scheduler.base import Job, JobState
 
 
 def _kube(nodes=16):
@@ -49,14 +48,6 @@ def test_warm_image_cache_skips_pull():
     mc2 = operator.create(_spec(8, name="second"))
     assert mc2.bringup_seconds < mc1.bringup_seconds
     assert all(p.pull_seconds == 0.0 for p in mc2.pods)
-
-
-def test_minicluster_flux_accepts_jobs():
-    kube = _kube(8)
-    mc = FluxOperator(kube).create(_spec(8))
-    job = mc.flux.submit(Job("j", nodes=8, runtime=10.0, walltime_limit=100.0))
-    mc.flux.run_until_idle()
-    assert job.state is JobState.COMPLETED
 
 
 def test_oversized_minicluster_rejected():

@@ -47,9 +47,7 @@ def test_extended_resources_enforced():
 def test_accounting_accumulates():
     node = _node(cpu=8.0)
     for i in range(3):
-        p = _pod(cpu=2.0)
-        p.node_name = node.name
-        node.pods.append(p)
+        node.add_pod(_pod(cpu=2.0))
     assert node.cpu_used() == 6.0
     assert node.fits(_pod(cpu=2.0))
     assert not node.fits(_pod(cpu=3.0))
@@ -59,11 +57,24 @@ def test_ip_budget_counts_non_host_network_pods():
     node = _node()
     node.ip_capacity = 2
     for i in range(2):
-        p = _pod()
-        node.pods.append(p)
+        node.add_pod(_pod())
     assert not node.fits(_pod())
     # Host-network pods don't consume pod IPs.
     assert node.fits(_pod(host_network=True))
+
+
+def test_add_and_remove_pod_bind_and_unbind():
+    node = _node(cpu=4.0)
+    pod = _pod(cpu=4.0)
+    node.add_pod(pod)
+    assert pod.node_name == node.name
+    assert pod.phase is PodPhase.RUNNING
+    assert not node.fits(_pod(cpu=1.0))
+    node.remove_pod(pod)
+    assert node.pods == []
+    assert not pod.is_bound
+    assert pod.phase is PodPhase.PENDING
+    assert node.fits(_pod(cpu=4.0))
 
 
 def test_not_ready_node_rejects_pods():

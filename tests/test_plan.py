@@ -265,7 +265,7 @@ def test_malformed_world_summary_warns_and_counts(tmp_path, caplog):
     runner = EnsembleRunner(spec, cache_dir=str(tmp_path))
     cold = runner.run()
     assert cold.world_cache.invalid == 0
-    keys = [runner._world_key(world) for world in runner._plans()]
+    keys = [runner._world_key(world) for world in runner.compile().worlds]
     paths = [RunCache(tmp_path).path(key) for key in keys]
     paths[0].write_text("{truncated")           # non-JSON corruption
     paths[1].write_text('{"v": 999, "cells": []}')  # JSON-valid, malformed

@@ -1,8 +1,8 @@
 """Cross-module property tests (hypothesis).
 
 These encode the invariants DESIGN.md promises: billing conservation,
-scheduler safety, placement caps, weak/strong scaling laws, and
-deterministic replay of the execution engine.
+placement caps, weak/strong scaling laws, and deterministic replay of
+the execution engine.
 """
 
 import math
@@ -15,9 +15,6 @@ from repro.cloud.placement import PlacementPolicy, apply_placement
 from repro.cloud.pricing import BillingMeter
 from repro.envs.registry import ENVIRONMENTS, environment
 from repro.network.fabrics import FABRICS, fabric
-from repro.scheduler.base import Job
-from repro.scheduler.flux import FluxScheduler
-from repro.scheduler.slurm import SlurmScheduler
 from repro.sim.execution import ExecutionEngine
 from repro.units import HOUR
 
@@ -60,54 +57,6 @@ def test_reported_never_exceeds_accrued(cloud, end, query):
     meter = BillingMeter()
     meter.meter(cloud, "t", 8, 0.0, end, 3.0)
     assert meter.reported(query, cloud) <= meter.accrued(cloud) + 1e-9
-
-
-# ---------------------------------------------------------------- scheduling
-
-@given(
-    jobs=st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=16),
-            st.floats(min_value=1.0, max_value=500.0),
-        ),
-        min_size=1,
-        max_size=25,
-    ),
-    scheduler_cls=st.sampled_from([SlurmScheduler, FluxScheduler]),
-)
-@settings(max_examples=60, deadline=None)
-def test_every_submitted_job_terminates(jobs, scheduler_cls):
-    s = scheduler_cls(nodes=16)
-    submitted = [
-        s.submit(Job(f"j{i}", nodes=n, runtime=r, walltime_limit=1000.0))
-        for i, (n, r) in enumerate(jobs)
-    ]
-    s.run_until_idle()
-    assert all(j.state.terminal for j in submitted)
-    assert s.pool.free_count == 16
-
-
-@given(
-    jobs=st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=8),
-            st.floats(min_value=1.0, max_value=100.0),
-        ),
-        min_size=2,
-        max_size=15,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_no_job_starts_before_submission(jobs):
-    s = SlurmScheduler(nodes=8)
-    submitted = [
-        s.submit(Job(f"j{i}", nodes=n, runtime=r, walltime_limit=1000.0))
-        for i, (n, r) in enumerate(jobs)
-    ]
-    s.run_until_idle()
-    for j in submitted:
-        assert j.start_time >= j.submit_time
-        assert j.end_time >= j.start_time
 
 
 # ----------------------------------------------------------------- placement
