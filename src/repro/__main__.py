@@ -1162,8 +1162,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens_run.add_argument(
         "--incremental",
         action="store_true",
-        help="diff-aware execution (requires --cache): run the baseline "
-        "replicas first, then attach untouched cells from the cell cache",
+        help="diff-aware execution (requires --cache): the baseline "
+        "replicas run first, then every other world attaches the cells "
+        "its scenario cannot touch from the cell cache — byte-identical "
+        "distributions",
     )
     p_ens_run.add_argument("--output", help="write the distribution table CSV here")
     p_ens_run.add_argument(

@@ -7,7 +7,7 @@ from repro.core.analysis import (
     scaling_table,
     speedup,
 )
-from repro.core.costs import amg_cost_table, study_spend
+from repro.core.costs import amg_cost_table
 from repro.core.incidents import INCIDENT_DB, Incident, incidents_for
 from repro.core.results import ResultStore
 from repro.core.study import StudyConfig, StudyRunner
@@ -34,6 +34,5 @@ __all__ = [
     "parallel_efficiency",
     "scaling_table",
     "speedup",
-    "study_spend",
     "usability_table",
 ]

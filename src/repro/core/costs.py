@@ -1,15 +1,12 @@
-"""Cost analysis: Table 4 (AMG2023 total cost) and study spend (§3.4).
+"""Cost analysis: Table 4 (AMG2023 total cost).
 
 Table 4 sums, per environment, the cost of all AMG2023 iterations
 across sizes (nodes × instance cost × execution time).  The paper's
 headline observation — *GPU runs were significantly cheaper despite the
 more expensive instance type* — emerges because weak-scaled AMG
-finishes each GPU run far faster than the CPU equivalent.
-
-Study spend aggregates every run plus provisioning overheads and
-compares against the $49k/cloud budget, reproducing §3.4's totals
-(Azure $31,056 / AWS $31,565 / Google $26,482 in the paper; our
-simulated study lands in the same under-budget regime).
+finishes each GPU run far faster than the CPU equivalent.  §3.4's
+per-cloud study spend is reproduced by
+:mod:`repro.experiments.study_costs` from a campaign's folded spend.
 """
 
 from __future__ import annotations
@@ -65,22 +62,6 @@ def amg_cost_table(store: ResultStore) -> list[CostRow]:
         )
     rows.sort(key=lambda r: r.total_cost)
     return rows
-
-
-def study_spend(store: ResultStore, *, overhead_factor: float = 1.35) -> dict[str, float]:
-    """Per-cloud study spend estimate.
-
-    ``overhead_factor`` accounts for cluster idle time between jobs,
-    provisioning retries, and testing (the paper's bills include far
-    more than FOM-producing runs).
-    """
-    totals: dict[str, float] = {}
-    for r in store.records:
-        env = ENVIRONMENTS.get(r.env_id)
-        if env is None or env.cloud == "p":
-            continue
-        totals[env.cloud] = totals.get(env.cloud, 0.0) + r.cost_usd * overhead_factor
-    return totals
 
 
 def cheapest_accelerator(rows: list[CostRow]) -> str:

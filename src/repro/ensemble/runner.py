@@ -23,7 +23,10 @@ scenario-aware at both levels: cell entries (:mod:`repro.sim.cache`)
 replay whole (environment, size) cells, and a world-level entry
 (:func:`~repro.sim.cache.world_key`) stores each world's *folded
 summary* so a repeat ensemble skips shard execution and the fold
-entirely.
+entirely.  An incremental ensemble hands the worlds that miss the world
+cache to the executor's baseline-first schedule
+(:mod:`repro.plan.executor`), with the grid's baseline replicas and any
+``baseline_plan`` as the extra diff baseline.
 
 Container builds contribute incidents but no run records and do not
 vary across worlds, so the ensemble (a distribution engine over
@@ -38,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.core.results import ResultStore
-from repro.ensemble.frame import ResultFrame
 from repro.ensemble.spec import EnsembleSpec
 from repro.ensemble.stats import CellStats, StreamAccumulator
 from repro.parallel.shard import ShardResult, engine_options
@@ -211,13 +213,9 @@ class EnsembleRunner:
     def run(self) -> EnsembleResult:
         """Execute every world and fold the streaming distributions.
 
-        An incremental run schedules two phases: the baseline replicas
-        execute first (writing their cell- and world-level summaries),
-        then the full grid streams in fold order — the baseline worlds
-        replay from the world cache they just populated, and every
-        scenario world executes diff-aware, attaching cells its scenario
-        cannot touch.  Fold order (and therefore every folded statistic)
-        is byte-identical to a from-scratch run.
+        Fold order (and therefore every folded statistic) is the plan
+        order, byte-identical to a from-scratch run whether or not the
+        run is incremental.
         """
         result = EnsembleResult(spec=self.spec)
         if self.incremental:
@@ -232,27 +230,7 @@ class EnsembleRunner:
             workers=self.workers,
             incremental=self.incremental,
         ):
-            baseline: RunPlan | None = None
-            if self.incremental:
-                own_baseline, _ = plan.split_baseline()
-                # Phase 1: run (and summary-cache) the baseline replicas.
-                # Their summaries are discarded here — the main pass below
-                # replays them from the world cache *in fold order*, so the
-                # streamed folds see the exact from-scratch ordering.
-                for _ in self._summaries(own_baseline, cache, result.stats):
-                    pass
-                # The diff baseline may extend beyond this run's own
-                # baseline replicas: a campaign threads its smoke-stage
-                # plan in, so cells that stage already simulated (at the
-                # same seed and footprint) attach from the cell cache
-                # instead of re-executing.  Sound because the diff
-                # matches shards by content-addressed summary keys.
-                baseline = own_baseline
-                if self.baseline_plan is not None:
-                    baseline = RunPlan.concat(own_baseline, self.baseline_plan)
-            for world, summary, cached in self._summaries(
-                plan, cache, result.stats, baseline=baseline
-            ):
+            for world, summary, cached in self._summaries(plan, cache, result.stats):
                 if cache is not None:  # no phantom misses when uncached
                     if cached:
                         result.world_cache.hits += 1
@@ -273,8 +251,6 @@ class EnsembleRunner:
         plan: RunPlan,
         cache: RunCache | None,
         stats: ExecutionStats,
-        *,
-        baseline: RunPlan | None = None,
     ) -> Iterator[tuple[PlanWorld, dict, bool]]:
         """Yield (world, folded summary, was-cached) in fold order.
 
@@ -282,9 +258,7 @@ class EnsembleRunner:
         missing worlds execute through the shared plan executor as one
         sub-plan.  The pending list is flushed before any cached world
         is yielded, so the output order is exactly the plan order.
-        ``baseline`` switches the executed sub-plans to the incremental
-        mode, diffing against it; ``stats`` accumulates every sub-plan
-        executor's accounting.
+        ``stats`` accumulates every sub-plan executor's accounting.
         """
         pending: list[tuple[PlanWorld, str | None]] = []
         for world in plan.worlds:
@@ -295,7 +269,7 @@ class EnsembleRunner:
             else:
                 data = None
             if self._valid_summary(data):
-                yield from self._execute(plan, pending, cache, stats, baseline=baseline)
+                yield from self._execute(plan, pending, cache, stats)
                 pending = []
                 yield world, data, True
             else:
@@ -304,7 +278,7 @@ class EnsembleRunner:
                     # (non-JSON corruption is traced inside get_json).
                     cache.note_invalid(key, "world summary malformed")
                 pending.append((world, key))
-        yield from self._execute(plan, pending, cache, stats, baseline=baseline)
+        yield from self._execute(plan, pending, cache, stats)
 
     @staticmethod
     def _is_number(value) -> bool:
@@ -351,21 +325,28 @@ class EnsembleRunner:
         pending: list[tuple[PlanWorld, str | None]],
         cache: RunCache | None,
         stats: ExecutionStats,
-        *,
-        baseline: RunPlan | None = None,
     ) -> Iterator[tuple[PlanWorld, dict, bool]]:
         """Execute missing worlds through the shared executor, in order.
 
-        With a ``baseline`` plan the sub-plan runs incrementally: cells
-        the diff proves untouched attach their folded summaries from the
-        cell cache instead of simulating.
+        An incremental sub-plan diffs against every baseline replica of
+        the grid — those replayed from the world cache left their cells
+        in the cell cache — plus ``baseline_plan``: a campaign threads
+        its smoke-stage plan in, so cells that stage already simulated
+        (same seed and footprint) attach instead of re-executing.  Sound
+        because the diff matches shards by content-addressed summary
+        keys.
         """
         if not pending:
             return
+        baseline = None
+        if self.incremental:
+            baseline = plan.subset(w.index for w in plan.worlds if w.is_baseline)
+            if self.baseline_plan is not None:
+                baseline = RunPlan.concat(baseline, self.baseline_plan)
         executor = PlanExecutor(
             plan.subset(world.index for world, _ in pending),
             workers=self.workers,
-            incremental=baseline is not None,
+            incremental=self.incremental,
             baseline=baseline,
             retry=self.retry,
             chaos=self.chaos,
@@ -373,9 +354,14 @@ class EnsembleRunner:
         )
         world_results = executor.iter_world_results()
         try:
-            for (world, key), (executed, shard_results) in zip(pending, world_results):
+            for world, key in pending:
+                # Unpacked from next(), not zip(): zip's reused result
+                # tuple would pin each world's shard results while the
+                # next world runs.
+                executed, shard_results = next(world_results)
                 assert executed.index == world.index
                 summary = self._world_summary(shard_results)
+                del shard_results
                 if cache is not None and key is not None:
                     cache.put_json(key, summary, level="world")
                 yield world, summary, False

@@ -16,15 +16,27 @@ records at a time.
 
 Every run takes one path, attach then dispatch: cells that can attach
 from the cache do, the rest execute through the pool, and results
-regroup per world in plan order.  What attaches depends on the mode:
+regroup per world in plan order.  Under ``resume=True`` every cell the
+checkpoint journal (:mod:`repro.plan.journal`) proves complete
+attaches; otherwise a plain run attaches nothing.
 
-* **incremental** (``incremental=True``) — the plan is diffed against a
-  baseline plan (:func:`repro.plan.diff.diff_plans`) and every cell the
-  diff proves untouched attaches its folded summary from the cell-level
-  cache the baseline run wrote;
-* **resume** (``resume=True``) — every cell the checkpoint journal
-  (:mod:`repro.plan.journal`) proves complete attaches the same way;
-* otherwise nothing attaches and every cell executes.
+**The incremental schedule** (``incremental=True``) is baseline first,
+and it lives here only:
+
+1. the plan's own baseline worlds (:meth:`RunPlan.split_baseline`)
+   execute first, attaching only journaled cells under ``resume`` —
+   their cell summaries land in the cache as they run;
+2. the remaining worlds are diffed (:func:`repro.plan.diff.diff_plans`)
+   against those baseline worlds plus the optional ``baseline=`` plan,
+   an extra diff-only baseline whose cells some earlier run cached;
+   every cell the diff proves untouched attaches its folded summary,
+   and the rest execute.
+
+Worlds still come back in plan order: a baseline world the plan puts
+after a non-baseline world is held until its turn, so the usual plans
+(baseline injected first) hold nothing.  :attr:`stats.reuse
+<repro.parallel.stats.ExecutionStats.reuse>` accounts for the diffed
+worlds.
 
 A cell whose cache entry is cold or malformed executes instead of
 attaching.  Results are byte-identical to a from-scratch run either
@@ -99,10 +111,11 @@ class PlanExecutor:
         self.plan = plan
         self.workers = workers
         self.incremental = incremental
-        #: the plan reusable cells are diffed against; defaults to the
+        #: extra diff-only baseline for incremental runs, on top of the
         #: plan's own baseline worlds (:meth:`RunPlan.split_baseline`)
         self.baseline = baseline
-        #: the computed diff (populated when incremental iteration starts)
+        #: the diff of the non-baseline worlds (populated once the
+        #: baseline worlds of an incremental run have executed)
         self.diff = None
         #: retry ladder for the pool (defaults are production-sane)
         self.retry = retry if retry is not None else RetryPolicy()
@@ -223,40 +236,32 @@ class PlanExecutor:
         for batch in batches:
             yield from batch
 
-    def _attach(self, journal: ExecutionJournal | None) -> dict[int, ShardResult]:
-        """Cells that attach from the cache instead of executing.
+    def _attach(
+        self,
+        plan: RunPlan,
+        journaled: set[str],
+        reusable: frozenset[int] = frozenset(),
+    ) -> tuple[dict[int, ShardResult], int]:
+        """Cells of ``plan`` that attach from the cache instead of executing.
 
-        The attach set is the diff's reusable cells (incremental runs)
-        plus the cells the journal proves complete (``resume``).  Probes
-        happen up front — the pool needs its work list before submission
-        — so the map peaks at the whole attach set; each entry is a
-        *folded* cell summary, tiny next to the simulation it replaces,
-        and is popped as its world yields.  A cell whose cache entry is
-        cold or malformed silently stays on the execute list, so reuse
-        and resume degrade to re-execution, never to a hole in the
-        tables; malformed entries also flow through
-        :meth:`RunCache.note_invalid` and, in incremental runs, count in
-        :attr:`stats.reuse.invalid <repro.parallel.stats.ReuseStats.invalid>`.
+        Returns the attached results by shard index and the number of
+        malformed cache entries met.  The attach set is the diff's
+        ``reusable`` cells plus the cells the journal proves complete
+        (``journaled``, empty unless resuming).  Probes happen up front
+        — the pool needs its work list before submission — so the map
+        peaks at the whole attach set; each entry is a *folded* cell
+        summary, tiny next to the simulation it replaces, and is popped
+        as its world yields.  A cell whose cache entry is cold or
+        malformed silently stays on the execute list, so reuse and
+        resume degrade to re-execution, never to a hole in the tables;
+        malformed entries also flow through :meth:`RunCache.note_invalid`.
         """
-        reusable: frozenset[int] = frozenset()
-        if self.incremental:
-            from repro.plan.diff import diff_plans
-
-            baseline = self.baseline
-            if baseline is None:
-                baseline, _ = self.plan.split_baseline()
-            with span("plan.diff"):
-                self.diff = diff_plans(baseline, self.plan)
-            reusable = self.diff.reusable_indices()
-        journaled = (
-            journal.completed() if self.resume and journal is not None else set()
-        )
         attached: dict[int, ShardResult] = {}
-        if not (self.incremental or journaled):
-            return attached
-        cache = RunCache(self.plan.cache_dir)
+        if not (reusable or journaled):
+            return attached, 0
+        cache = RunCache(plan.cache_dir)
         with span("plan.attach", reusable=len(reusable), journaled=len(journaled)):
-            for shard in self.plan.shards:
+            for shard in plan.shards:
                 if shard.index in reusable or (
                     journaled and shard_summary_key(shard) in journaled
                 ):
@@ -267,27 +272,91 @@ class PlanExecutor:
         if resumed:
             self.stats.faults.resumed += resumed
             telemetry_count("fault.resumed", resumed)
-        if self.incremental:
-            self.stats.reuse = ReuseStats(
-                planned_reusable=self.diff.n_reusable,
-                planned_dirty=self.diff.n_dirty,
-                attached=len(attached),
-                executed=self.plan.n_shards - len(attached),
-                invalid=cache.invalid,
-            )
-            for name, value in self.stats.reuse.to_dict().items():
-                telemetry_count(f"plan.reuse.{name}", value)
-        return attached
+        return attached, cache.invalid
+
+    def _stream(
+        self,
+        plan: RunPlan,
+        attached: dict[int, ShardResult],
+        journal: ExecutionJournal | None,
+    ) -> Iterator[tuple[PlanWorld, list[ShardResult]]]:
+        """Yield (world, its shard results) for ``plan``, in plan order.
+
+        Cells not in ``attached`` execute across the worker pool in plan
+        order.  Results are regrouped by each world's shard count, so a
+        world is yielded the moment its last cell returns — no barrier
+        across worlds — and attached and executed cells are
+        indistinguishable in the groups.  Every yielded result's
+        transport is noted in :attr:`stats`.
+        """
+        to_run = [s for s in plan.shards if s.index not in attached]
+        results = self._journaled_results(to_run, journal)
+        shards = iter(plan.shards)
+        for world, n_shards in plan.world_shard_counts():
+            # The world span stays open across the yield, so the
+            # caller's fold of this world is attributed to it.
+            with span("plan.world", world=world.index, shards=n_shards):
+                world_results = []
+                for _ in range(n_shards):
+                    shard = next(shards)
+                    result = attached.pop(shard.index, None)
+                    world_results.append(
+                        result if result is not None else next(results)
+                    )
+                assert all(r.world == world.index for r in world_results)
+                self._absorb_traces(world_results)
+                for result in world_results:
+                    self.stats.transport.note(result)
+                yield world, world_results
+
+    def _baseline_first(
+        self, journal: ExecutionJournal | None, journaled: set[str]
+    ) -> Iterator[tuple[PlanWorld, list[ShardResult]]]:
+        """The incremental schedule (module docstring), in plan order."""
+        from repro.plan.diff import diff_plans
+
+        base, rest = self.plan.split_baseline()
+        first_variant = rest.worlds[0].index if rest.worlds else None
+        # baseline worlds the plan lists after a non-baseline world wait
+        held: list[tuple[PlanWorld, list[ShardResult]]] = []
+        attached, _ = self._attach(base, journaled)
+        for world, results in self._stream(base, attached, journal):
+            if first_variant is None or world.index < first_variant:
+                yield world, results
+            else:
+                held.append((world, results))
+        # Drop the loop variables: they would keep the last baseline
+        # world's shard results alive while the other worlds run.
+        world = results = None
+
+        # The baseline cells are in the cache now: diff the rest against
+        # them and attach every cell the diff proves untouched.
+        baseline = base
+        if self.baseline is not None:
+            baseline = RunPlan.concat(base, self.baseline)
+        with span("plan.diff"):
+            self.diff = diff_plans(baseline, rest)
+        attached, invalid = self._attach(rest, journaled, self.diff.reusable_indices())
+        self.stats.reuse = ReuseStats(
+            planned_reusable=self.diff.n_reusable,
+            planned_dirty=self.diff.n_dirty,
+            attached=len(attached),
+            executed=rest.n_shards - len(attached),
+            invalid=invalid,
+        )
+        for name, value in self.stats.reuse.to_dict().items():
+            telemetry_count(f"plan.reuse.{name}", value)
+        for world, results in self._stream(rest, attached, journal):
+            while held and held[0][0].index < world.index:
+                yield held.pop(0)
+            yield world, results
+        yield from held
 
     def iter_world_results(self) -> Iterator[tuple[PlanWorld, list[ShardResult]]]:
         """Yield (world, its shard results) in plan order.
 
-        Attached cells come from :meth:`_attach`; everything else
-        executes across the worker pool in plan order.  Results are
-        regrouped by each world's shard count, so a world is yielded the
-        moment its last cell returns — no barrier across worlds — and
-        attached and executed cells are indistinguishable in the groups.
-        Every yielded result's transport is noted in :attr:`stats`.
+        A plain (or resumed) run streams the whole plan in one pass; an
+        incremental run takes the baseline-first schedule.
         """
         with span(
             "plan.run",
@@ -297,26 +366,13 @@ class PlanExecutor:
         ):
             journal = self._journal()
             try:
-                attached = self._attach(journal)
-                to_run = [s for s in self.plan.shards if s.index not in attached]
-                results = self._journaled_results(to_run, journal)
-                shards = iter(self.plan.shards)
-                for world, n_shards in self.plan.world_shard_counts():
-                    # The world span stays open across the yield, so the
-                    # caller's fold of this world is attributed to it.
-                    with span("plan.world", world=world.index, shards=n_shards):
-                        world_results = []
-                        for _ in range(n_shards):
-                            shard = next(shards)
-                            result = attached.pop(shard.index, None)
-                            world_results.append(
-                                result if result is not None else next(results)
-                            )
-                        assert all(r.world == world.index for r in world_results)
-                        self._absorb_traces(world_results)
-                        for result in world_results:
-                            self.stats.transport.note(result)
-                        yield world, world_results
+                # resume implies a cache directory, hence a journal
+                journaled = journal.completed() if self.resume else set()
+                if self.incremental:
+                    yield from self._baseline_first(journal, journaled)
+                else:
+                    attached, _ = self._attach(self.plan, journaled)
+                    yield from self._stream(self.plan, attached, journal)
             finally:
                 if journal is not None:
                     journal.close()
@@ -338,6 +394,8 @@ class PlanExecutor:
             }
             with span("plan.merge", world=world.index, shards=len(results)):
                 merged = merge_shard_results(results, incidents=incidents)
+            # Not pinned while the caller folds and the next world runs.
+            del results
             yield world, merged
 
     def run(

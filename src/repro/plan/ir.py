@@ -158,11 +158,11 @@ class RunPlan:
     def split_baseline(self) -> tuple["RunPlan", "RunPlan"]:
         """(baseline worlds' sub-plan, remaining worlds' sub-plan).
 
-        The two-phase incremental schedule: the baseline sub-plan
-        executes first (warming the cell cache), then the remainder runs
-        with diff-aware reuse against it (:mod:`repro.plan.diff`).  Both
-        halves keep their original world indices, so results regroup
-        against the full plan unambiguously.
+        The two halves of the incremental schedule
+        (:mod:`repro.plan.executor`): the baseline half executes first,
+        then the rest is diffed against it.  Both halves keep their
+        original world indices, so results regroup against the full
+        plan unambiguously.
         """
         base = self.subset(w.index for w in self.worlds if w.is_baseline)
         rest = self.subset(w.index for w in self.worlds if not w.is_baseline)

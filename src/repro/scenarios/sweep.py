@@ -20,11 +20,12 @@ produces byte-identical per-scenario datasets, and the baseline world of
 a sweep is byte-identical to a plain :class:`StudyRunner` campaign.
 
 **Incremental sweeps** (``incremental=True``, requires ``cache_dir``)
-exploit cell-granular reuse: the baseline campaign executes first, then
-every scenario world runs through the executor's incremental mode
-(:mod:`repro.plan.diff`) — cells a scenario cannot touch attach their
-folded summaries from the cache the baseline just wrote, and only the
-touched cells simulate.  A 50-scenario sweep where each scenario
+exploit cell-granular reuse through the executor's baseline-first
+schedule (:mod:`repro.plan.executor`): cells a scenario cannot touch
+attach their folded summaries from the cache the baseline world just
+wrote, and only the touched cells simulate.  The sweep always compiles
+a baseline world in for that; with ``include_baseline=False`` it is
+left out of the outcomes.  A 50-scenario sweep where each scenario
 perturbs one environment re-simulates ~one cell per world instead of
 all of them, with byte-identical per-scenario datasets
 (``benchmarks/test_bench_incremental.py`` keeps the receipt).
@@ -54,9 +55,9 @@ class ScenarioOutcome:
 
 @dataclass
 class SweepResult:
-    """Every world of a sweep, baseline first (insertion order).
+    """Every world of a sweep, in plan order.
 
-    ``stats`` folds every executor the sweep ran
+    ``stats`` is the executor's accounting
     (:class:`~repro.parallel.stats.ExecutionStats`): shard transport,
     recovery events and, for incremental sweeps, the cell reuse — how
     many cells the diff classified reusable/dirty, how many actually
@@ -179,7 +180,11 @@ class ScenarioSweep:
         return scenario_grid(self.scenarios, include_baseline=self.include_baseline)
 
     def compile(self):
-        """The whole sweep as one :class:`~repro.plan.ir.RunPlan`."""
+        """The whole sweep as one :class:`~repro.plan.ir.RunPlan`.
+
+        An incremental sweep always has a baseline world: its cells are
+        what the scenario worlds attach.
+        """
         # Imported lazily: repro.plan sits below this module in the
         # import graph (its shards import repro.scenarios.spec).
         from repro.plan import compile_scenarios
@@ -188,97 +193,56 @@ class ScenarioSweep:
             self.config,
             self.scenarios,
             cache_dir=self.cache_dir,
-            include_baseline=self.include_baseline,
+            include_baseline=self.include_baseline or self.incremental,
         )
 
     def run(self) -> SweepResult:
         """Execute every world; returns per-scenario reports.
 
-        An incremental sweep runs in two phases: the baseline campaign
-        first (warming the cell-level cache), then every scenario world
-        through the executor's diff-aware mode, which attaches untouched
-        cells from that cache.  Per-scenario datasets are byte-identical
-        to a from-scratch sweep either way; only the cache/reuse
-        counters differ.
+        Per-scenario datasets (and their order) are byte-identical to a
+        from-scratch sweep whether or not the run is incremental; only
+        the cache/reuse counters differ.
         """
-        from repro.plan import PlanExecutor, compile_study
+        from repro.plan import PlanExecutor
 
         builder_runner = StudyRunner(self.config)
         builder_runner.build_containers()
         build_incidents = builder_runner.incidents
 
+        # A baseline world compiled in only for reuse is not reported.
+        reported = {scn.scenario_id for scn in self._worlds()}
         outcomes: dict[str, ScenarioOutcome] = {}
-
-        def fold(world, merged) -> None:
-            # Worlds keep their own ids (the injected BASELINE's id is
-            # "baseline"), so no two worlds can ever share a label.
-            scn = world.scenario
-            outcomes[scn.scenario_id] = ScenarioOutcome(
-                scenario=scn,
-                report=StudyReport(
-                    store=merged.store,
-                    incidents=merged.incidents,
-                    spend_by_cloud=merged.spend_by_cloud,
-                    containers_built=builder_runner.builder.built,
-                    containers_failed=builder_runner.builder.failed,
-                    clusters_created=merged.clusters_created,
-                    cache=merged.cache,
-                ),
-            )
-
+        plan = self.compile()
+        executor = PlanExecutor(
+            plan,
+            workers=self.workers,
+            incremental=self.incremental,
+            retry=self.retry,
+            chaos=self.chaos,
+            resume=self.resume,
+        )
         with span(
             "sweep.run",
-            worlds=len(self._worlds()),
+            worlds=plan.n_worlds,
             workers=self.workers,
             incremental=self.incremental,
         ):
-            if not self.incremental:
-                executor = PlanExecutor(
-                    self.compile(),
-                    workers=self.workers,
-                    retry=self.retry,
-                    chaos=self.chaos,
-                    resume=self.resume,
+            for world, merged in executor.merged_worlds(seed_incidents=build_incidents):
+                # Worlds keep their own ids (the injected BASELINE's id
+                # is "baseline"), so no two worlds can share a label.
+                scn = world.scenario
+                if scn.scenario_id not in reported:
+                    continue
+                outcomes[scn.scenario_id] = ScenarioOutcome(
+                    scenario=scn,
+                    report=StudyReport(
+                        store=merged.store,
+                        incidents=merged.incidents,
+                        spend_by_cloud=merged.spend_by_cloud,
+                        containers_built=builder_runner.builder.built,
+                        containers_failed=builder_runner.builder.failed,
+                        clusters_created=merged.clusters_created,
+                        cache=merged.cache,
+                    ),
                 )
-                for world, merged in executor.merged_worlds(seed_incidents=build_incidents):
-                    fold(world, merged)
-                return SweepResult(outcomes=outcomes, stats=executor.stats)
-
-            # Phase 1: the baseline campaign (the reference every scenario
-            # world diffs against).  With include_baseline=False the sweep
-            # still executes it — its cells are what the variants reuse —
-            # but keeps it out of the reported outcomes.
-            plan = self.compile()
-            base_plan, rest_plan = plan.split_baseline()
-            emit_baseline = base_plan.n_shards > 0
-            if not emit_baseline:
-                base_plan = compile_study(self.config, cache_dir=self.cache_dir)
-            base_executor = PlanExecutor(
-                base_plan,
-                workers=self.workers,
-                retry=self.retry,
-                chaos=self.chaos,
-                resume=self.resume,
-            )
-            for world, merged in base_executor.merged_worlds(seed_incidents=build_incidents):
-                if emit_baseline:
-                    fold(world, merged)
-
-            # Phase 2: every scenario world, diff-aware.  Untouched cells
-            # attach from the cell cache phase 1 just wrote; only touched
-            # cells dispatch to shards.
-            inc_executor = PlanExecutor(
-                rest_plan,
-                workers=self.workers,
-                incremental=True,
-                baseline=base_plan,
-                retry=self.retry,
-                chaos=self.chaos,
-                resume=self.resume,
-            )
-            for world, merged in inc_executor.merged_worlds(seed_incidents=build_incidents):
-                fold(world, merged)
-            result = SweepResult(outcomes=outcomes)
-            result.stats.add(base_executor.stats)
-            result.stats.add(inc_executor.stats)
-            return result
+        return SweepResult(outcomes=outcomes, stats=executor.stats)

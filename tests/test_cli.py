@@ -431,6 +431,27 @@ def test_scenario_run_incremental_prints_reuse_summary(tmp_path, capsys):
            "(diff: 1 reusable / 1 dirty)" in out
 
 
+def test_scenario_run_incremental_prints_what_a_plain_run_prints(tmp_path, capsys):
+    # The empty my-base world is the sweep's baseline but not its first
+    # world; incremental execution must not move it.
+    spec = tmp_path / "my-base.json"
+    spec.write_text('{"scenario_id": "my-base"}')
+    argv = [
+        "scenario", "run",
+        "--scenario", "price-war", "--scenario", str(spec),
+        "--scenario", "degraded-efa",
+        "--envs", "cpu-eks-aws,cpu-aks-az", "--apps", "amg2023", "--sizes", "32",
+    ]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "--incremental", "--cache", str(tmp_path / "cache")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("cell reuse"))
+    assert lines[at - 1] == ""
+    del lines[at - 1 : at + 1]
+    assert "\n".join(lines) + "\n" == plain
+
+
 def test_scenario_run_incremental_without_cache_is_a_clean_error(capsys):
     assert main([
         "scenario", "run", "--scenario", "azure-price-spike", "--incremental",
@@ -644,7 +665,9 @@ def test_campaign_run_cache_line_shows_invalid_reasons(tmp_path, capsys):
     argv = ["campaign", "run", "--spec", str(spec_path), "--cache", cache_dir]
     assert main(argv) == 0
     clean = capsys.readouterr().out
-    assert "world cache       : 4 hits, 3 misses\n" in clean
+    # Cold cache: only the two grid worlds smoke already folded hit; the
+    # baseline replicas each stage simulates itself are misses.
+    assert "world cache       : 2 hits, 5 misses\n" in clean
     # Poison one smoke world's summary: the re-run replays the rest and
     # re-executes that one, naming why its entry was rejected.
     smoke = EnsembleRunner(

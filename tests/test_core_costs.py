@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.costs import amg_cost_table, cheapest_accelerator, study_spend
+from repro.core.costs import amg_cost_table, cheapest_accelerator
 from repro.core.results import ResultStore
 from repro.envs.registry import cpu_environments, gpu_environments
 from repro.experiments.base import run_matrix
@@ -32,19 +32,6 @@ def test_gpu_cheaper_despite_pricier_instances(amg_store):
 
 def test_eleven_rows(amg_store):
     assert len(amg_cost_table(amg_store)) == 11
-
-
-def test_study_spend_excludes_onprem(amg_store):
-    spend = study_spend(amg_store)
-    assert set(spend) <= {"aws", "az", "g"}
-    assert all(v > 0 for v in spend.values())
-
-
-def test_study_spend_overhead_factor(amg_store):
-    lean = study_spend(amg_store, overhead_factor=1.0)
-    padded = study_spend(amg_store, overhead_factor=1.5)
-    for cloud in lean:
-        assert padded[cloud] == pytest.approx(1.5 * lean[cloud])
 
 
 def test_empty_store():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.costs import study_spend
 from repro.core.study import StudyConfig, StudyRunner
 from repro.core.usability import usability_table
 from repro.sim.run_result import RunState

@@ -34,7 +34,8 @@ from repro.envs.registry import ENVIRONMENTS
 from repro.errors import ConfigurationError
 from repro.parallel.merge import merge_shard_results
 from repro.parallel.shard import shard_summary_key
-from repro.plan import PlanExecutor, compile_study, diff_plans
+from repro.parallel.stats import ReuseStats
+from repro.plan import PlanExecutor, compile_scenarios, compile_study, diff_plans
 from repro.scenarios import (
     FabricDegradation,
     FaultScaling,
@@ -44,6 +45,7 @@ from repro.scenarios import (
     Scenario,
     ScenarioSweep,
     SpotMarket,
+    scenario,
 )
 from repro.scenarios.spec import active
 from repro.sim.cache import RunCache
@@ -212,8 +214,9 @@ def test_incremental_sweep_is_byte_identical_across_worker_counts(tmp_path):
             report = inc.outcomes[sid].report
             assert report.store.to_csv() == outcome.report.store.to_csv(), sid
             assert report.spend_by_cloud == outcome.report.spend_by_cloud, sid
-    # Phase 1 warms every baseline cell, so planned reuse fully attaches
-    # and matches the touches oracle — identically for any worker count.
+    # The baseline world runs first and warms every baseline cell, so
+    # planned reuse fully attaches and matches the touches oracle —
+    # identically for any worker count.
     expected_dirty = sum(
         1 for scn in scns for cloud in CLOUD_ENVS if _touched(scn, cloud)
     )
@@ -241,6 +244,61 @@ def test_empty_diff_plan_attaches_every_cell(tmp_path):
     assert executor.stats.reuse.executed == 0
     assert rerun.store.to_csv() == scratch.store.to_csv()
     assert rerun.spend_by_cloud == scratch.spend_by_cloud
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_incremental_sweep_keeps_plan_order_when_the_baseline_is_not_first(
+    tmp_path, workers
+):
+    # A user-supplied empty scenario is the baseline world (nothing is
+    # injected); it runs first but must still come back second.
+    worlds = [
+        scenario("price-war"),
+        Scenario(scenario_id="my-base"),
+        scenario("degraded-efa"),
+    ]
+    scratch = ScenarioSweep(_config(), worlds).run()
+    inc = ScenarioSweep(
+        _config(),
+        worlds,
+        cache_dir=str(tmp_path / "c"),
+        workers=workers,
+        incremental=True,
+    ).run()
+    assert list(inc.outcomes) == list(scratch.outcomes) == [
+        "price-war", "my-base", "degraded-efa"
+    ]
+    assert inc.to_json_dict()["scenarios"] == scratch.to_json_dict()["scenarios"]
+    assert inc.delta_table().to_csv() == scratch.delta_table().to_csv()
+    for sid, outcome in scratch.outcomes.items():
+        assert inc.outcomes[sid].report.store.to_csv() == outcome.report.store.to_csv()
+    assert inc.stats.reuse.attached == inc.stats.reuse.planned_reusable > 0
+
+
+def test_executor_alone_runs_the_baseline_world_first(tmp_path):
+    config = StudyConfig(
+        env_ids=(CLOUD_ENVS["aws"], CLOUD_ENVS["az"]),
+        apps=("amg2023",),
+        sizes=(32,),
+        iterations=2,
+    )
+    worlds = [scenario("degraded-efa")]
+    executor = PlanExecutor(
+        compile_scenarios(config, worlds, cache_dir=str(tmp_path / "direct")),
+        incremental=True,
+    )
+    merged = executor.run()
+    sweep = ScenarioSweep(
+        config, worlds, cache_dir=str(tmp_path / "sweep"), incremental=True
+    ).run()
+    # The degraded-efa world's az cell attaches from the baseline world
+    # the executor ran first; its aws cell is dirty.
+    expected = ReuseStats(planned_reusable=1, planned_dirty=1, attached=1, executed=1)
+    assert executor.stats.reuse == sweep.stats.reuse == expected
+    scratch = PlanExecutor(compile_scenarios(config, worlds)).run()
+    assert [(w.index, m.store.to_csv()) for w, m in merged] == [
+        (w.index, m.store.to_csv()) for w, m in scratch
+    ]
 
 
 # --------------------------------------- invalidation-soundness fuzzing
@@ -473,6 +531,23 @@ def test_incremental_ensemble_matches_from_scratch(tmp_path):
     a, b = scratch.to_json_dict(), inc.to_json_dict()
     a.pop("world_cache"), b.pop("world_cache"), b.pop("cell_reuse")
     assert a == b
+
+
+def test_cold_incremental_ensemble_counts_every_world_a_miss(tmp_path):
+    spec = EnsembleSpec(
+        n_replicas=2,
+        scenarios=(scenario("degraded-efa"),),
+        env_ids=(CLOUD_ENVS["aws"], CLOUD_ENVS["az"]),
+        apps=("amg2023",),
+        sizes=(32,),
+        iterations=2,
+    )
+    plain = EnsembleRunner(spec, cache_dir=str(tmp_path / "plain")).run()
+    inc = EnsembleRunner(spec, cache_dir=str(tmp_path / "inc"), incremental=True).run()
+    # The baseline replicas are simulated by this run, not replayed.
+    assert inc.world_cache.hits == plain.world_cache.hits == 0
+    assert inc.world_cache.misses == plain.world_cache.misses == inc.worlds == 4
+    assert inc.stats.reuse.attached == 2
 
 
 def test_incremental_modes_require_a_cache_directory():

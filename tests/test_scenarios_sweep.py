@@ -329,3 +329,22 @@ def test_sweep_without_baseline_when_asked():
     # No baseline world -> delta accessors fail loudly, not with KeyError.
     with pytest.raises(ValueError, match="include_baseline"):
         result.render_deltas()
+
+
+def test_incremental_sweep_without_baseline_still_reuses_baseline_cells(tmp_path):
+    worlds = [scenario("azure-price-spike")]
+    scratch = ScenarioSweep(_config(), worlds, include_baseline=False).run()
+    inc = ScenarioSweep(
+        _config(),
+        worlds,
+        cache_dir=str(tmp_path / "cache"),
+        include_baseline=False,
+        incremental=True,
+    ).run()
+    # The baseline world runs for its cells but is not reported.
+    assert list(inc.reports) == ["azure-price-spike"]
+    assert (
+        inc.reports["azure-price-spike"].store.to_csv()
+        == scratch.reports["azure-price-spike"].store.to_csv()
+    )
+    assert inc.stats.reuse.attached == inc.stats.reuse.planned_reusable > 0
