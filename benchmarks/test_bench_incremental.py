@@ -12,8 +12,8 @@ claims to avoid.  The incremental side starts from a *cold* cache — it
 pays for the baseline campaign, all 50 touched cells, and every cache
 write, and still has to win on the strength of attaching the 150
 untouched cells alone.  Cells run at scale 256 (the paper's largest),
-where provisioning + Kubernetes scheduling dominate cell cost — the
-regime reuse is for.
+the most expensive cells to provision and simulate — the regime reuse
+is for.
 
 Results land in ``BENCH_incremental.json`` (redirect with
 ``BENCH_INCREMENTAL_ARTIFACT``) and are gated against
@@ -45,8 +45,8 @@ REGRESSION_TOLERANCE = 1.25
 #: the acceptance floor: incremental ≤ 40% of from-scratch
 ACCEPTANCE_RATIO = 0.40
 
-#: one environment per cloud; scale 256 makes provisioning + K8s
-#: scheduling the dominant cell cost
+#: one environment per cloud; scale 256 makes each cell as expensive
+#: to provision and simulate as the study gets
 _ENVS = ("cpu-eks-aws", "cpu-aks-az", "cpu-gke-g", "cpu-onprem-a")
 _CLOUDS = ("aws", "az", "g", "p")
 N_SCENARIOS = 50

@@ -790,6 +790,17 @@ class ResultStore:
         )
         return [int(v) for v in np.unique(self._cols["scale"].view()[mask])]
 
+    def failures(self, kind: str) -> list[tuple[str, int, int]]:
+        """``(app, scale, iteration)`` of every record that failed as
+        ``kind``, in store order, read off the columns (no row objects)."""
+        hits = [i for i, k in enumerate(self._failure_kind) if k == kind]
+        if not hits:
+            return []
+        app, scale, iteration = (
+            self._cols[name].view() for name in ("app", "scale", "iteration")
+        )
+        return [(str(app[i]), int(scale[i]), int(iteration[i])) for i in hits]
+
     def counts_by_state(self) -> dict[RunState, int]:
         codes, counts = np.unique(self._cols["state"].view(), return_counts=True)
         return {STATE_ORDER[code]: int(count) for code, count in zip(codes, counts)}

@@ -37,6 +37,7 @@ records) skips them — exactly like
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -254,13 +255,14 @@ class EnsembleRunner:
     ) -> Iterator[tuple[PlanWorld, dict, bool]]:
         """Yield (world, folded summary, was-cached) in fold order.
 
-        Cached worlds replay their stored summary; contiguous runs of
-        missing worlds execute through the shared plan executor as one
-        sub-plan.  The pending list is flushed before any cached world
-        is yielded, so the output order is exactly the plan order.
-        ``stats`` accumulates every sub-plan executor's accounting.
+        Every world is probed first.  Cached worlds replay their stored
+        summary; the missing ones, wherever they sit in the plan, run
+        through one plan executor (one worker pool) as one sub-plan,
+        which yields them in plan order, so the fold order is exactly
+        the plan order.  ``stats`` accumulates that executor's
+        accounting.
         """
-        pending: list[tuple[PlanWorld, str | None]] = []
+        probed: list[tuple[PlanWorld, str | None, dict | None]] = []
         for world in plan.worlds:
             key = self._world_key(world) if cache is not None else None
             if cache is not None:
@@ -268,17 +270,20 @@ class EnsembleRunner:
                     data = cache.get_json(key, level="world")
             else:
                 data = None
-            if self._valid_summary(data):
-                yield from self._execute(plan, pending, cache, stats)
-                pending = []
-                yield world, data, True
-            else:
+            if not self._valid_summary(data):
                 if data is not None and cache is not None:
                     # JSON-valid but malformed: trace the degradation
                     # (non-JSON corruption is traced inside get_json).
                     cache.note_invalid(key, "world summary malformed")
-                pending.append((world, key))
-        yield from self._execute(plan, pending, cache, stats)
+                data = None
+            probed.append((world, key, data))
+        missing = [(world, key) for world, key, data in probed if data is None]
+        with closing(self._execute(plan, missing, cache, stats)) as executed:
+            for world, _, data in probed:
+                if data is None:
+                    yield next(executed)
+                else:
+                    yield world, data, True
 
     @staticmethod
     def _is_number(value) -> bool:

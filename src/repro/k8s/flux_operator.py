@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from repro.errors import SchedulingError
 from repro.k8s.cluster import KubernetesCluster
 from repro.k8s.objects import Pod, ResourceRequest
+from repro.telemetry import count, span
 
 
 @dataclass(frozen=True)
@@ -72,28 +73,38 @@ class FluxOperator:
                 f"MiniCluster of {spec.size} exceeds cluster size {self.cluster.size}"
             )
         pods = []
-        for i in range(spec.size):
+        if spec.size:
             node_template = self.cluster.nodes[0]
             extended: dict[str, int] = {}
             if spec.gpu_per_pod:
                 extended["nvidia.com/gpu"] = spec.gpu_per_pod
             if spec.fabric_resource:
                 extended[spec.fabric_resource] = 1
-            pods.append(
+            # One request serves every pod: it is immutable.
+            resources = ResourceRequest.of(
+                cpu_cores=node_template.cpu_cores * spec.cpu_fraction,
+                memory_bytes=int(node_template.memory_bytes * 0.9),
+                **extended,
+            )
+            pods = [
                 Pod(
                     name=f"{spec.name}-{i}",
                     image=spec.image,
-                    resources=ResourceRequest.of(
-                        cpu_cores=node_template.cpu_cores * spec.cpu_fraction,
-                        memory_bytes=int(node_template.memory_bytes * 0.9),
-                        **extended,
-                    ),
+                    resources=resources,
                     labels={"minicluster": spec.name, "nodeSelector": "workers"},
                     host_network=True,  # study pods used host networking for fabrics
                 )
-            )
+                for i in range(spec.size)
+            ]
         scheduler = self.cluster.scheduler()
-        nodes = scheduler.bind_all(pods)
+        with span("k8s.bind", pods=len(pods)):
+            try:
+                nodes = scheduler.bind_all(pods)
+            finally:
+                # Counted per gang, not per pod: nothing on the bind path
+                # pays for telemetry.
+                count("k8s.fits_calls", scheduler.fits_calls)
+        count("k8s.pods_bound", len(nodes))
 
         # Image pulls: cold nodes pay the pull, warm nodes are free.
         pull_times = []
@@ -119,8 +130,9 @@ class FluxOperator:
         """Tear down a MiniCluster, freeing its pods' nodes."""
         if mc not in self.miniclusters:
             raise SchedulingError("MiniCluster not managed by this operator")
+        nodes = {node.name: node for node in self.cluster.nodes}
         for pod in mc.pods:
-            for node in self.cluster.nodes:
-                if pod in node.pods:
-                    node.remove_pod(pod)
+            node = nodes.get(pod.node_name)
+            if node is not None:
+                node.remove_pod(pod)
         self.miniclusters.remove(mc)

@@ -23,6 +23,7 @@ serial run.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -90,6 +91,23 @@ class StudyShard:
     #: almost always.  Another transport-style flag: any plan the run
     #: survives yields byte-identical merged results.
     chaos: object | None = None
+
+    @functools.cached_property
+    def summary_key(self) -> str:
+        """:func:`shard_summary_key`, computed once per (immutable) shard.
+
+        It rides along when the shard is pickled to a worker; a shard
+        re-marked with :func:`dataclasses.replace` computes it afresh.
+        """
+        return shard_key(
+            seed=self.seed,
+            env_id=self.env_id,
+            scale=self.scale,
+            apps=self.apps,
+            iterations=self.iterations,
+            engine_options=engine_options(),
+            scenario=footprint_digest(self.scenario, ENVIRONMENTS[self.env_id].cloud),
+        )
 
 
 @dataclass
@@ -234,17 +252,12 @@ def shard_summary_key(shard: StudyShard) -> str:
     like the baseline cell — the incremental planner
     (:mod:`repro.plan.diff`) attaches such cells straight from the
     cache without dispatching them to a worker.
+
+    The diff, the attach probe, the journal and the cell's own cache
+    write all ask for it, so it is computed once per shard value
+    (:attr:`StudyShard.summary_key`).
     """
-    cloud = ENVIRONMENTS[shard.env_id].cloud
-    return shard_key(
-        seed=shard.seed,
-        env_id=shard.env_id,
-        scale=shard.scale,
-        apps=shard.apps,
-        iterations=shard.iterations,
-        engine_options=engine_options(),
-        scenario=footprint_digest(shard.scenario, cloud),
-    )
+    return shard.summary_key
 
 
 def attach_shard(shard: StudyShard, cache: RunCache) -> ShardResult | None:
@@ -470,20 +483,19 @@ def _execute_shard_body(shard: StudyShard) -> ShardResult:
 
     if scn is not None and scn.spot is not None:
         # Every reclaim cost somebody a resubmission: charge the effort.
-        for record in result.records:
-            if record.failure_kind == "spot-preemption":
-                result.incidents.append(
-                    Incident(
-                        env_ids=(env.env_id,),
-                        category="manual_intervention",
-                        effort_minutes=20.0,
-                        description=(
-                            f"spot node reclaimed mid-run: {record.app} at "
-                            f"scale {record.scale}, iteration {record.iteration}"
-                        ),
-                        source=f"scenario:{scn.scenario_id}:spot",
-                    )
+        for app, scale, iteration in result.store.failures("spot-preemption"):
+            result.incidents.append(
+                Incident(
+                    env_ids=(env.env_id,),
+                    category="manual_intervention",
+                    effort_minutes=20.0,
+                    description=(
+                        f"spot node reclaimed mid-run: {app} at "
+                        f"scale {scale}, iteration {iteration}"
+                    ),
+                    source=f"scenario:{scn.scenario_id}:spot",
                 )
+            )
 
     if provider is not None:
         provider.release_cluster(cluster, now=now)

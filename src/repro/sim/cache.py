@@ -59,8 +59,14 @@ INVALID_REASON_CAP = 8
 CACHE_VERSION = 3
 
 
+#: exact types :func:`_jsonable` passes through untouched
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 def _jsonable(value: Any) -> Any:
     """Coerce numpy scalars (and other oddballs) into JSON-native types."""
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -152,9 +158,14 @@ def world_key(
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
+#: :class:`RunRecord` field names in declaration order, the key order
+#: of every encoded record
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(RunRecord))
+
+
 def encode_record(record: RunRecord) -> dict[str, Any]:
-    """A JSON-safe dict for one run record."""
-    data = dataclasses.asdict(record)
+    """A JSON-safe dict for one run record, keys in field order."""
+    data = {name: getattr(record, name) for name in _RECORD_FIELDS}
     data["state"] = record.state.value
     return _jsonable(data)
 

@@ -14,8 +14,9 @@ whose names are built per call (the ``cache.<level>.*`` and
 Naming convention: ``<layer>.<operation>``, layers ordered roughly by
 call depth — campaign orchestration (``campaign``), front-end runners
 (``study``/``sweep``/``ensemble``), the planner (``plan``), the process
-pool (``pool``), per-cell execution (``shard``), the engine
-(``engine``), and the benchmark suite (``bench``).
+pool (``pool``), per-cell execution (``shard``), Kubernetes
+provisioning inside a cell (``k8s``), the engine (``engine``), and the
+benchmark suite (``bench``).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ SPANS: dict[str, str] = {
     # per-cell execution (worker side)
     "shard.execute": "one (environment, size) cell, start to finish",
     "shard.provision": "quota, cluster provisioning, and environment deploy",
+    "k8s.bind": "gang-binding one MiniCluster's pods onto Kubernetes nodes",
     # the engine
     "engine.run_block": "one (env, app, size) group through the array-native path",
     "engine.resolve_group": "placement, fabric, ECC, and pricing resolution",
@@ -94,6 +96,9 @@ COUNTERS: dict[str, str] = {
     "cache.world.puts": "world-summary cache stores",
     "cache.world.put_bytes": "world-summary bytes written",
     "cache.world.hit_bytes": "world-summary bytes served",
+    # Kubernetes provisioning (one emission per MiniCluster gang bind)
+    "k8s.pods_bound": "pods a MiniCluster gang bind placed",
+    "k8s.fits_calls": "node admission checks the scheduler made while binding",
     # incremental reuse accounting (mirrors ReuseStats fields)
     "plan.reuse.planned_reusable": "cells the diff classified reusable",
     "plan.reuse.planned_dirty": "cells the diff classified dirty",

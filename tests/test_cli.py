@@ -682,6 +682,47 @@ def test_campaign_run_cache_line_shows_invalid_reasons(tmp_path, capsys):
     assert line.endswith(" x1]")
 
 
+def test_campaign_grid_runs_its_missing_worlds_through_one_executor(
+    tmp_path, capsys, monkeypatch
+):
+    # Widened so the grid's missing worlds sit on both sides of a world
+    # smoke already folded: one executor (one worker pool) must still
+    # run them all, with outputs and world-cache counters unchanged.
+    import json
+
+    import repro.ensemble.runner as ensemble_runner
+
+    spec = json.loads(CAMPAIGN_SPEC_JSON)
+    spec["env_ids"] = ["cpu-eks-aws", "cpu-gke-g"]
+    spec["grid"] = {"replicas": 3}
+    spec_path = tmp_path / "campaign.json"
+    spec_path.write_text(json.dumps(spec))
+
+    built: list[list[list[int]]] = []  # per ensemble run: executors' worlds
+    real_executor = ensemble_runner.PlanExecutor
+    real_run = ensemble_runner.EnsembleRunner.run
+
+    class CountingExecutor(real_executor):
+        def __init__(self, plan, *args, **kwargs):
+            built[-1].append([world.index for world in plan.worlds])
+            super().__init__(plan, *args, **kwargs)
+
+    def counting_run(self):
+        built.append([])
+        return real_run(self)
+
+    monkeypatch.setattr(ensemble_runner, "PlanExecutor", CountingExecutor)
+    monkeypatch.setattr(ensemble_runner.EnsembleRunner, "run", counting_run)
+    argv = ["campaign", "run", "--spec", str(spec_path),
+            "--cache", str(tmp_path / "cache")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    smoke, grid = built
+    assert len(smoke) == 1
+    assert grid == [[1, 2, 4, 5]]  # world 3 replays smoke's summary
+    assert "world cache       : 2 hits, 7 misses\n" in out
+
+
 def test_campaign_run_bad_spec_is_a_clean_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"grid": {"replicas": 0}}')

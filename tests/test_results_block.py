@@ -134,6 +134,21 @@ def test_append_block_per_record_failure_kinds():
     assert [r.failure_kind for r in store.records] == [None, "walltime", "segfault"]
 
 
+def test_failures_match_the_row_walk():
+    """The column scan finds what a walk over materialized rows finds."""
+    store = ResultStore()
+    store.add(_record(0, failure_kind="spot-preemption"))
+    _append_block(store, 3, app="amg2023", scale=128, failure_kind="spot-preemption")
+    _append_block(store, 3, failure_kind=["walltime", "spot-preemption", None])
+    store.add(_record(9, app="osu", failure_kind="walltime"))
+    _append_block(store, 2)
+    for kind in ("spot-preemption", "walltime", "segfault"):
+        assert store.failures(kind) == [
+            (r.app, r.scale, r.iteration) for r in store.records if r.failure_kind == kind
+        ]
+    assert ResultStore().failures("spot-preemption") == []
+
+
 def test_blocks_and_rows_interleave():
     store = ResultStore()
     store.add(_record(0))

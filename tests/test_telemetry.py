@@ -432,7 +432,7 @@ def test_invalid_reasons_reported_by_study(tmp_path):
 def test_every_emitted_span_is_registered():
     # Matches real call sites; the name shape filter skips prose like
     # ``span("...")`` in docstrings.
-    pattern = re.compile(r'\bspan\(\s*"([a-z_]+(?:\.[a-z_]+)+)"')
+    pattern = re.compile(r'\bspan\(\s*"([a-z0-9_]+(?:\.[a-z0-9_]+)+)"')
     emitted = set()
     for path in SRC.rglob("*.py"):
         emitted.update(pattern.findall(path.read_text(encoding="utf-8")))
@@ -461,7 +461,7 @@ def test_every_emitted_counter_is_registered():
     # Literal counter emissions only: the dotted-name group skips both
     # str.count("1") noise and f-string sites (whose expansions are
     # registered by hand, e.g. the cache.<level>.* family).
-    pattern = re.compile(r'\b(?:telemetry_)?count\(\s*"([a-z_]+(?:\.[a-z_]+)+)"')
+    pattern = re.compile(r'\b(?:telemetry_)?count\(\s*"([a-z0-9_]+(?:\.[a-z0-9_]+)+)"')
     emitted = set()
     for path in SRC.rglob("*.py"):
         emitted.update(pattern.findall(path.read_text(encoding="utf-8")))
